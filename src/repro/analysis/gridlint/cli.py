@@ -74,7 +74,7 @@ def _build_parser():
     parser.add_argument(
         "--no-program", action="store_true",
         help="file-local rules only; skip the whole-program pass "
-             "(GL101-GL104)",
+             "(GL101-GL105)",
     )
     parser.add_argument(
         "--cache", nargs="?", const=CACHE_DEFAULT, default=None,

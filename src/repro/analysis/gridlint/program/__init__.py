@@ -13,9 +13,6 @@ see one AST at a time; this package parses all of ``src/`` once into a
   lexicon; flags dimension-mismatched call arguments and arithmetic.
 * GL103 — timer-guard leak proofs: a ``guard_tag``-ed timer with no
   reachable ``cancel()`` path on any alias anywhere in the project.
-* GL104 — fast-path parity: persistent state written under one
-  ``REPRO_*`` fast-path toggle branch that the other branch never
-  writes.
 * GL105 — unthrottled retry loops: a ``for``/``while`` that
   (transitively) re-drives the raw data channel with no backoff,
   delay or attempt timeout per iteration; ``repro.gridftp`` itself is

@@ -6,7 +6,6 @@ serialised pragma suppression table, the extracted
 :class:`~repro.analysis.gridlint.program.model.ModuleInfo` facts, and
 the program-rule findings partitioned by what can invalidate them:
 
-* ``local``   — GL104 (depends on this module only; key: file hash);
 * ``closure`` — GL101/GL102/GL105 (depend on everything the module
   transitively imports; key: digest over the import closure's hashes);
 * ``global``  — GL103 (cancel paths may live in *importers*; key:
@@ -34,7 +33,7 @@ from repro.analysis.gridlint.program.model import MODEL_VERSION
 __all__ = ["AnalysisCache", "CACHE_SCHEMA", "file_digest"]
 
 #: Bump on any change to extraction, rules, or cache layout.
-CACHE_SCHEMA = f"gridlint-cache/2+model{MODEL_VERSION}"
+CACHE_SCHEMA = f"gridlint-cache/3+model{MODEL_VERSION}"
 
 
 def file_digest(data: bytes) -> str:

@@ -5,8 +5,8 @@ parsed (in parallel across processes when the batch is large enough),
 file-local rules run per file, facts are extracted, the project model
 is built and GL101-GL105 run over it.  Warm path: per-file content
 hashes match the cache, so parses are skipped wholesale; the
-program-rule keys (file hash for GL104, import-closure digest for
-GL101/GL102/GL105, whole-run digest for GL103) are recomputed from cached
+program-rule keys (import-closure digest for GL101/GL102/GL105,
+whole-run digest for GL103) are recomputed from cached
 closure lists *without* materialising the model, and when everything
 matches the run never builds a single AST.
 """
@@ -32,7 +32,6 @@ from repro.analysis.gridlint.program.model import (
     ModuleInfo,
     extract_module,
 )
-from repro.analysis.gridlint.program.parity import check_gl104
 from repro.analysis.gridlint.program.project import ProjectModel
 from repro.analysis.gridlint.program.retries import check_gl105
 from repro.analysis.gridlint.program.taint import check_gl101
@@ -41,7 +40,7 @@ from repro.analysis.gridlint.rules import check_tree
 __all__ = ["ProgramRunStats", "analyze_project", "parse_one"]
 
 #: Program-finding partitions and the rules they carry (see cache.py).
-_PARTS = ("local", "closure", "global")
+_PARTS = ("closure", "global")
 
 
 @dataclass
@@ -129,7 +128,7 @@ def _parse_many(paths: list[str], jobs: int) -> list[dict[str, Any]]:
 
 
 def _program_rules(model: ProjectModel) -> dict[str, dict[str, list[Finding]]]:
-    """Run GL101-GL105; findings keyed by part then module name."""
+    """Run GL101-GL103 and GL105; findings keyed by part then module."""
     gl101 = check_gl101(model)
     gl102 = check_gl102(model)
     gl105 = check_gl105(model)
@@ -140,7 +139,6 @@ def _program_rules(model: ProjectModel) -> dict[str, dict[str, list[Finding]]]:
             + gl105.get(name, [])
         )
     return {
-        "local": check_gl104(model),
         "closure": closure,
         "global": check_gl103(model),
     }
@@ -249,15 +247,14 @@ def _run_program(files: list[str], records: dict[str, dict[str, Any]],
     }
     for name in sorted(module_entry):
         entry = module_entry[name]
+        stored_closure = entry.get("closure")
         keys = {
-            "local": module_digest[name],
+            "closure": (
+                closure_key(stored_closure)
+                if isinstance(stored_closure, list) else ""
+            ),
             "global": global_key,
         }
-        stored_closure = entry.get("closure")
-        keys["closure"] = (
-            closure_key(stored_closure)
-            if isinstance(stored_closure, list) else ""
-        )
         for part in _PARTS:
             found = (
                 cache.program_findings(entry, part, keys[part])
@@ -282,7 +279,6 @@ def _run_program(files: list[str], records: dict[str, dict[str, Any]],
                 closure = sorted(model.import_closure(name))
                 entry["closure"] = closure
                 key = {
-                    "local": module_digest[name],
                     "closure": closure_key(closure),
                     "global": global_key,
                 }[part]

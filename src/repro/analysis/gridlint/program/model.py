@@ -2,9 +2,9 @@
 
 One parse of a module produces a :class:`ModuleInfo`: imports, classes,
 and per-function facts (assignments, returns, calls, ``+``/``-``
-arithmetic, guard-timer arming/cancelling, fast-path toggle branches)
-encoded as plain JSON-serialisable dictionaries.  The interprocedural
-rules (GL101-GL104) run over these facts only — never over raw ASTs —
+arithmetic, guard-timer arming/cancelling, loops) encoded as plain
+JSON-serialisable dictionaries.  The interprocedural rules
+(GL101-GL103, GL105) run over these facts only — never over raw ASTs —
 which is what lets the incremental cache skip re-parsing unchanged
 modules entirely.
 
@@ -43,13 +43,13 @@ __all__ = [
 Expr = dict[str, Any]
 
 #: Bump when the extraction schema changes — part of the cache key.
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 #: Method names whose call produces a schedulable timer/event handle
 #: (used by GL103 to tie a ``guard_tag`` assignment to its creation).
 _TIMER_FACTORIES = {"timeout", "schedule", "event", "process"}
 
-#: Environment-read call targets (GL101 taint sources, GL104 toggles).
+#: Environment-read call targets (GL101 taint sources).
 ENV_READ_TARGETS = {"os.environ.get", "os.getenv", "os.environ.__getitem__"}
 
 
@@ -107,13 +107,12 @@ class FunctionInfo:
     nesting depth, in source order.  ``guards`` records
     ``<handle>.guard_tag = ...`` armings, ``cancels`` every receiver of
     a ``.cancel()`` call, ``appends`` container ``.append(name)`` calls
-    (alias tracking for GL103), ``toggles`` fast-path toggle branches
-    with the ``self.*`` attributes each arm writes (GL104), and
-    ``loops`` every ``for``/``while`` with the calls issued *per
-    iteration* — its body plus, for ``while``, its test — as
-    ``{"line", "end", "calls"}`` (GL105).  Calls inside a nested
-    function definition run when the closure is invoked, not per
-    iteration, so they are never attributed to an enclosing loop.
+    (alias tracking for GL103), and ``loops`` every ``for``/``while``
+    with the calls issued *per iteration* — its body plus, for
+    ``while``, its test — as ``{"line", "end", "calls"}`` (GL105).
+    Calls inside a nested function definition run when the closure is
+    invoked, not per iteration, so they are never attributed to an
+    enclosing loop.
     """
 
     name: str
@@ -129,7 +128,6 @@ class FunctionInfo:
     guards: list[dict[str, Any]] = field(default_factory=list)
     cancels: list[str] = field(default_factory=list)
     appends: list[dict[str, Any]] = field(default_factory=list)
-    toggles: list[dict[str, Any]] = field(default_factory=list)
     loops: list[dict[str, Any]] = field(default_factory=list)
 
     def as_dict(self) -> dict[str, Any]:
@@ -140,7 +138,7 @@ class FunctionInfo:
             "yields": self.yields, "calls": self.calls,
             "binops": self.binops, "guards": self.guards,
             "cancels": self.cancels, "appends": self.appends,
-            "toggles": self.toggles, "loops": self.loops,
+            "loops": self.loops,
         }
 
     @classmethod
@@ -383,7 +381,9 @@ class _Extractor:
                 if isinstance(child, ast.expr):
                     self._encode(child)
         elif isinstance(node, ast.If):
-            self._if(node)
+            self._encode(node.test)
+            self._block(node.body)
+            self._block(node.orelse)
         elif isinstance(node, (ast.For, ast.AsyncFor)):
             # The iterable is evaluated once, before the first
             # iteration — its calls stay outside the loop record.
@@ -497,90 +497,6 @@ class _Extractor:
         self._class_stack.append(info)
         self._block(node.body)
         self._class_stack.pop()
-
-    # -- fast-path toggle branches (GL104 facts) ---------------------------
-
-    def _if(self, node: ast.If) -> None:
-        test = self._encode(node.test)
-        env = self._toggle_in(test)
-        if env is not None:
-            arm_writes = [sorted(self._self_writes(node.body))]
-            orelse: list[ast.stmt] = node.orelse
-            has_else = bool(orelse)
-            # Flatten elif chains into additional arms.
-            while len(orelse) == 1 and isinstance(orelse[0], ast.If):
-                chained = orelse[0]
-                arm_writes.append(sorted(self._self_writes(chained.body)))
-                orelse = chained.orelse
-                has_else = bool(orelse)
-            if orelse:
-                arm_writes.append(sorted(self._self_writes(orelse)))
-            self._fn_stack[-1].toggles.append({
-                "env": env, "line": node.lineno,
-                "end": node.end_lineno or node.lineno,
-                "arms": arm_writes, "else": has_else,
-            })
-        self._block(node.body)
-        self._block(node.orelse)
-
-    def _toggle_in(self, expr: Expr,
-                   seen: frozenset[str] = frozenset()) -> str | None:
-        """REPRO_* env var read inside a test expression, if any.
-
-        ``seen`` holds names already being resolved, so cyclic or
-        self-referential bindings (``kind = kind or default``) cannot
-        recurse forever.
-        """
-        if expr["k"] == "call":
-            if expr.get("tgt") in ENV_READ_TARGETS and expr["args"]:
-                first = expr["args"][0]
-                if (first.get("k") == "const"
-                        and isinstance(first.get("v"), str)
-                        and first["v"].startswith("REPRO_")):
-                    return str(first["v"])
-            for child in expr["args"] + list(expr["kw"].values()):
-                found = self._toggle_in(child, seen)
-                if found is not None:
-                    return found
-            return None
-        if expr["k"] == "name":
-            # A name bound from an env read earlier in this function
-            # (or at module level): `kind = os.environ.get(...)`.
-            name = expr["id"]
-            if name in seen:
-                return None
-            seen = seen | {name}
-            for fn in (self._fn_stack[-1],
-                       self.info.functions.get("<module>")):
-                if fn is None:
-                    continue
-                for assign in fn.assigns:
-                    if assign["t"] == name:
-                        found = self._toggle_in(assign["v"], seen)
-                        if found is not None:
-                            return found
-            return None
-        for child in _expr_children(expr):
-            found = self._toggle_in(child, seen)
-            if found is not None:
-                return found
-        return None
-
-    def _self_writes(self, body: list[ast.stmt]) -> set[str]:
-        """``self.*`` attributes assigned anywhere under ``body``."""
-        writes: set[str] = set()
-        for stmt in body:
-            for node in ast.walk(stmt):
-                targets: list[ast.expr] = []
-                if isinstance(node, ast.Assign):
-                    targets = list(node.targets)
-                elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                    targets = [node.target]
-                for target in targets:
-                    chain = _dotted_chain(target)
-                    if chain is not None and chain.startswith("self."):
-                        writes.add(chain)
-        return writes
 
 
 _BINOPS: dict[type, str] = {

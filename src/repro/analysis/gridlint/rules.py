@@ -57,8 +57,6 @@ RULES = {
              "names disagree at a call argument or +/- expression",
     "GL103": "guard-timer leak — a guard_tag'ed timer is armed with no "
              "reachable cancel()/stop() path on any alias",
-    "GL104": "fast-path parity — state written under one REPRO_* "
-             "toggle branch that the other branch never writes",
     "GL105": "unthrottled retry loop — a loop reaches the data channel "
              "(transitively) with no backoff, delay or attempt timeout "
              "per iteration",

@@ -15,12 +15,10 @@ the same concerns lives in :mod:`repro.analysis.gridlint`):
 """
 
 from repro.analysis.sanitizers.determinism import (
-    FAST_PATH_TOGGLES,
     DeterminismReport,
     Divergence,
     check_determinism,
     check_profile_neutrality,
-    check_toggle_equivalence,
     run_traced,
     trace_digest,
 )
@@ -35,7 +33,6 @@ from repro.analysis.sanitizers.watchdog import (
 )
 
 __all__ = [
-    "FAST_PATH_TOGGLES",
     "DeterminismReport",
     "Divergence",
     "GlobalWatchdog",
@@ -48,7 +45,6 @@ __all__ = [
     "check_determinism",
     "check_leaks",
     "check_profile_neutrality",
-    "check_toggle_equivalence",
     "install_global_watchdog",
     "run_traced",
     "trace_digest",

@@ -29,26 +29,13 @@ from dataclasses import dataclass, field
 from repro.obs import capture
 
 __all__ = [
-    "FAST_PATH_TOGGLES",
     "DeterminismReport",
     "Divergence",
     "check_determinism",
     "check_profile_neutrality",
-    "check_toggle_equivalence",
     "run_traced",
     "trace_digest",
 ]
-
-#: The fast-path feature toggles and their (optimised, legacy) values.
-#: The optimised side is every variable's default; the legacy side
-#: re-selects the original reference implementations.  All three are
-#: read at simulator/network/sensor construction, so flipping them
-#: between runs is a complete A/B switch.
-FAST_PATH_TOGGLES: dict[str, tuple[str, str]] = {
-    "REPRO_EVENT_QUEUE": ("calendar", "heap"),
-    "REPRO_FAIRSHARE": ("incremental", "oracle"),
-    "REPRO_SENSOR_DRIVER": ("batch", "process"),
-}
 
 #: CPython reprs embed addresses (``<Host src at 0x7f...>``) that differ
 #: run-to-run without being real nondeterminism; scrub them.
@@ -198,46 +185,6 @@ def check_profile_neutrality(scenario, name="scenario"):
     return report
 
 
-def _run_with_env(scenario, overrides):
-    """``run_traced(scenario)`` with env vars overridden for the run."""
-    import os
-
-    saved = {key: os.environ.get(key) for key in overrides}
-    os.environ.update(overrides)
-    try:
-        return run_traced(scenario)
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-
-def check_toggle_equivalence(scenario, name="scenario"):
-    """Digest an all-optimised run against an all-legacy run.
-
-    The fast-path contract (see ``docs/performance.md``) is that the
-    calendar event queue, the incremental fair-share solver and the
-    batched sensor driver change *nothing* observable: with every
-    :data:`FAST_PATH_TOGGLES` variable flipped to its legacy value, the
-    same-seed trace must be byte-identical.  Returns a
-    :class:`DeterminismReport` whose two digests are the optimised and
-    legacy runs.
-    """
-    report = DeterminismReport(name=f"{name} [fast-path on/off]")
-    optimised = {key: on for key, (on, _off) in FAST_PATH_TOGGLES.items()}
-    legacy = {key: off for key, (_on, off) in FAST_PATH_TOGGLES.items()}
-    _, fast = _run_with_env(scenario, optimised)
-    _, slow = _run_with_env(scenario, legacy)
-    for records in (fast, slow):
-        report.digests.append(trace_digest(records))
-        report.record_counts.append(len(records))
-    if not report.ok:
-        report.divergence = _first_divergence(0, 1, fast, slow)
-    return report
-
-
 def main(argv=None):
     """Run the harness over named experiments (CI's sanitize gate)."""
     import argparse
@@ -259,12 +206,6 @@ def main(argv=None):
         "--profile", action="store_true",
         help="also prove kernel-profiler neutrality: digest a plain "
              "run against a profiled run of each experiment",
-    )
-    parser.add_argument(
-        "--ab-toggles", action="store_true",
-        help="also prove fast-path equivalence: digest an all-optimised "
-             "run (calendar queue, incremental solver, batched sensors) "
-             "against an all-legacy run of each experiment",
     )
     args = parser.parse_args(argv)
 
@@ -289,14 +230,6 @@ def main(argv=None):
             )
             print(neutrality.describe())
             if not neutrality.ok:
-                failed += 1
-        if args.ab_toggles:
-            equivalence = check_toggle_equivalence(
-                lambda: runner(args.quick, args.seed),
-                name=experiment_id,
-            )
-            print(equivalence.describe())
-            if not equivalence.ok:
                 failed += 1
     return 1 if failed else 0
 

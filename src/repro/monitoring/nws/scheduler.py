@@ -1,30 +1,19 @@
-"""Batched sensor driving: timer events without per-sensor processes.
+"""Sensor driving: timer events without per-sensor processes.
 
-Every autostarted sensor used to be its own generator process: a
-bootstrap event, a generator frame, and one ``Timeout`` per tick routed
-through the process machinery (``send``/``throw``, wait bookkeeping).
-On a grid where sensors dominate the event mix, that machinery is pure
-overhead — each tick does nothing but call ``measure_once`` and sleep
-again.
+Each tick of a sensor does nothing but call ``measure_once`` and sleep
+again, so :class:`SensorScheduler` drives sensors with bare timer
+callbacks rather than generator processes.  Two modes per sensor:
 
-:class:`SensorScheduler` drives sensors with bare timer callbacks
-instead.  Two modes per sensor:
-
-* ``phase=None`` (the default, and the only behaviour the legacy
-  process driver had): the sensor is driven *solo*, and the event
-  pattern replicates the process driver event-for-event — one urgent
-  bootstrap ``Event`` at attach (exactly what ``Process.__init__``
-  schedules), the phase drawn from the sensor's own stream when that
-  bootstrap pops (exactly where the generator's first line drew it),
-  then one ``Timeout`` per tick.  Same event classes, counts, times,
-  priorities and stream draws, so the same-seed trace digest is
-  byte-identical whichever driver runs (``REPRO_SENSOR_DRIVER=batch``
-  or ``process``).
+* ``phase=None`` (the default): the sensor is driven *solo* — one
+  urgent bootstrap ``Event`` at attach, the phase drawn from the
+  sensor's own stream when that bootstrap pops, then one ``Timeout`` per
+  tick.  The bootstrap event and the moment of the phase draw are part
+  of the same-seed trace: event counts, times, priorities and stream
+  draws all follow from them, so the pinned trace digests depend on
+  this exact pattern.
 * explicit ``phase``: sensors sharing ``(period, phase)`` join one
   *tick group* — a single ``Timeout`` per period fires them all in
-  attach order.  This is the new N-sensors-one-timer capability; it has
-  no legacy equivalent (the process driver approximates it with one
-  solo process per sensor at the same fixed phase).
+  attach order (regional monitoring's N-sensors-one-timer mode).
 
 The scheduler itself is per-simulator and created on demand; it holds
 no simulation state beyond its groups, and a sensor leaves the rotation
@@ -32,12 +21,11 @@ by its ``stop()`` raising the ``_driver_stopped`` flag the callbacks
 check.
 """
 
-import os
 from weakref import WeakKeyDictionary
 
 from repro.sim.events import PRIORITY_URGENT, Event, Timeout
 
-__all__ = ["SensorScheduler", "scheduler_for", "sensor_driver_mode"]
+__all__ = ["SensorScheduler", "scheduler_for"]
 
 #: One scheduler per simulator, created lazily; weak keys so schedulers
 #: die with their simulator.
@@ -51,17 +39,6 @@ def scheduler_for(sim):
         scheduler = SensorScheduler(sim)
         _SCHEDULERS[sim] = scheduler
     return scheduler
-
-
-def sensor_driver_mode():
-    """Driver selected by REPRO_SENSOR_DRIVER: ``batch`` or ``process``."""
-    mode = os.environ.get("REPRO_SENSOR_DRIVER", "batch")
-    if mode not in ("batch", "process"):
-        raise ValueError(
-            f"unknown sensor driver {mode!r} "
-            "(expected 'batch' or 'process')"
-        )
-    return mode
 
 
 class _TickGroup:
@@ -108,8 +85,8 @@ class SensorScheduler:
     def attach(self, sensor, phase=None):
         """Start driving ``sensor``.
 
-        ``phase=None`` drives it solo with the legacy-identical event
-        pattern; an explicit phase joins the shared ``(period, phase)``
+        ``phase=None`` drives it solo (bootstrap event, then one timer
+        per tick); an explicit phase joins the shared ``(period, phase)``
         tick group, creating it (first tick ``phase`` from now) if
         needed.
         """
@@ -123,11 +100,12 @@ class SensorScheduler:
             self._groups[key] = group
         group.sensors.append(sensor)
 
-    # -- solo driving (legacy event pattern) -------------------------------
+    # -- solo driving ------------------------------------------------------
 
     def _attach_solo(self, sensor):
-        # Mirrors Process.__init__'s bootstrap: one urgent plain Event
-        # at the current instant.
+        # One urgent plain Event at the current instant; the pinned
+        # trace digests count it, so it stays even though the phase
+        # could be drawn here directly.
         boot = Event(self.sim)
         boot._ok = True
         boot._value = None
@@ -137,9 +115,9 @@ class SensorScheduler:
     def _boot(self, sensor):
         if sensor._driver_stopped:
             return
-        # Mirrors the generator's first line: the phase jitter is drawn
-        # from the sensor's own stream when the bootstrap pops, keeping
-        # every stream draw aligned with the process driver.  From here
+        # The phase jitter is drawn from the sensor's own stream when the
+        # bootstrap pops, not at attach: moving the draw would reorder
+        # stream draws and change the pinned trace digests.  From here
         # the sensor re-arms itself (one bound callback, reused — no
         # per-tick closure).
         delay = sensor.stream.uniform(0.0, sensor.period)

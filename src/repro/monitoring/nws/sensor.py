@@ -1,4 +1,4 @@
-"""nws_sensor: periodic measurement processes.
+"""nws_sensor: periodic measurement sensors.
 
 Each sensor wakes at its period (with a phase jitter so fleets of
 sensors do not synchronise), takes a reading of its resource, perturbs
@@ -12,9 +12,8 @@ TCP limits.
 
 import logging
 
-from repro.monitoring.nws.scheduler import scheduler_for, sensor_driver_mode
+from repro.monitoring.nws.scheduler import scheduler_for
 from repro.monitoring.nws.series import Measurement, series_key
-from repro.sim import Interrupt
 from repro.sim.events import Timeout
 
 logger = logging.getLogger("repro.monitoring.nws.sensor")
@@ -67,27 +66,20 @@ class Sensor:
             nameserver.register("sensor", self.sensor_name, self)
         #: Fixed tick phase; None draws a random one (solo driving).
         self.phase = phase
-        #: True while this sensor ticks on its own timer (either
-        #: driver); external schedulers (Clique) require it False.
+        #: True while this sensor ticks on its own timer; external
+        #: schedulers (Clique) require it False.
         self.driven = False
-        #: Raised by stop(); the batch driver checks it before ticking.
+        #: Raised by stop(); the scheduler checks it before ticking.
         self._driver_stopped = False
-        #: Reusable bound callback for batch-driver timers (one
-        #: allocation for the sensor's whole lifetime).
+        #: Reusable bound callback for solo timers (one allocation for
+        #: the sensor's whole lifetime).
         self._solo_tick_cb = self._solo_tick
         #: Measurement-noise clamp bounds (fixed once noise is set).
         self._noise_low = 1.0 - 4 * self.noise
         self._noise_high = 1.0 + 4 * self.noise
-        #: The sensor's generator process under the legacy process
-        #: driver; None under the batch driver or when driven
-        #: externally (e.g. by a Clique).
-        self.process = None
         if autostart:
             self.driven = True
-            if sensor_driver_mode() == "process":
-                self.process = sim.process(self._run())
-            else:
-                scheduler_for(sim).attach(self, phase)
+            scheduler_for(sim).attach(self, phase)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.sensor_name}>"
@@ -140,12 +132,8 @@ class Sensor:
             self.measure_once()
 
     def _solo_tick(self, _event):
-        """Batch-driver timer callback: tick, then re-arm the timer.
-
-        Event-for-event identical to one loop turn of :meth:`_run` under
-        the process driver (one ``Timeout`` per period), minus the
-        generator machinery.
-        """
+        """Solo timer callback: tick, then re-arm one ``Timeout`` a
+        period from now."""
         if self._driver_stopped:
             return
         if self.paused:
@@ -154,21 +142,6 @@ class Sensor:
             self.measure_once()
         timer = Timeout(self.sim, self.period)
         timer.callbacks.append(self._solo_tick_cb)
-
-    def _run(self):
-        # Random phase so co-located sensors interleave (a fixed
-        # `phase` pins it instead).
-        if self.phase is None:
-            delay = self.stream.uniform(0.0, self.period)
-        else:
-            delay = self.phase
-        yield self.sim.timeout(delay)
-        try:
-            while True:
-                self.tick()
-                yield self.sim.timeout(self.period)
-        except Interrupt:
-            return
 
     def pause(self):
         """Black out the sensor: it keeps ticking but records nothing.
@@ -185,8 +158,6 @@ class Sensor:
 
     def stop(self):
         self._driver_stopped = True
-        if self.process is not None and self.process.is_alive:
-            self.process.interrupt(cause="stopped")
 
 
 class BandwidthSensor(Sensor):

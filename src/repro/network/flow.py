@@ -3,8 +3,9 @@
 :class:`FlowNetwork` tracks the set of in-flight flows.  Whenever the set
 changes — a flow starts, finishes, is aborted, or the environment shifts
 (cross-traffic, disk load) — it settles the bytes moved so far, recomputes
-every rate with :func:`max_min_allocation`, and reschedules completion
-events.
+every rate with the :class:`~repro.network.solver.IncrementalMaxMinSolver`
+(exactly :func:`~repro.network.fairness.max_min_allocation`'s answer),
+and reschedules completion events.
 
 Two modelling points worth noting:
 
@@ -20,9 +21,7 @@ Two modelling points worth noting:
 
 import itertools
 import math
-import os
 
-from repro.network.fairness import FlowDemand, max_min_allocation
 from repro.network.routing import Router
 from repro.network.solver import IncrementalMaxMinSolver
 
@@ -94,7 +93,7 @@ class Flow:
 class FlowNetwork:
     """Manages flows over a topology with max-min fair sharing."""
 
-    def __init__(self, sim, topology, router=None, solver=None):
+    def __init__(self, sim, topology, router=None):
         self.sim = sim
         self.topology = topology
         self.router = router or Router(topology)
@@ -102,14 +101,8 @@ class FlowNetwork:
         self._last_settle = sim.now
         self._wakeup_version = 0
         #: Incremental fair-share solver mirroring the live flow set
-        #: (see :mod:`repro.network.solver`); ``None`` routes every
-        #: allocation through the pure oracle instead.  Pinned at
-        #: construction by REPRO_FAIRSHARE=incremental|oracle.
-        if solver is None and os.environ.get(
-            "REPRO_FAIRSHARE", "incremental"
-        ) == "incremental":
-            solver = IncrementalMaxMinSolver()
-        self._solver = solver
+        #: (see :mod:`repro.network.solver`).
+        self._solver = IncrementalMaxMinSolver()
         #: key -> [link, refcount] over live flows' links, so the
         #: solver can read fresh capacities by key during probes.
         self._links_by_key = {}
@@ -144,11 +137,10 @@ class FlowNetwork:
             return flow
         self._settle()
         self._flows[flow.id] = flow
-        if self._solver is not None:
-            self._solver.add_flow(
-                flow.id, [link.key for link in flow.links], flow.cap
-            )
-            self._register_links(flow)
+        self._solver.add_flow(
+            flow.id, [link.key for link in flow.links], flow.cap
+        )
+        self._register_links(flow)
         self._reallocate()
         return flow
 
@@ -159,9 +151,8 @@ class FlowNetwork:
         self._settle()
         flow.aborted = True
         del self._flows[flow.id]
-        if self._solver is not None:
-            self._solver.remove_flow(flow.id)
-            self._unregister_links(flow)
+        self._solver.remove_flow(flow.id)
+        self._unregister_links(flow)
         for link in flow.links:
             link.allocated = 0.0
         flow.done.fail(FlowAborted(flow, cause))
@@ -186,20 +177,10 @@ class FlowNetwork:
             path = self.router.path(src, dst)
         if path.is_loopback:
             return cap
-        if self._solver is not None:
-            return self._solver.probe_rate(
-                [(link.key, link.available_capacity)
-                 for link in path.links],
-                cap, self._capacity_of,
-            )
-        capacities = self._capacities(
-            list(self._all_links()) + list(path.links)
+        return self._solver.probe_rate(
+            [(link.key, link.available_capacity) for link in path.links],
+            cap, self._capacity_of,
         )
-        demands = self._demands()
-        probe_id = "__probe__"
-        demands.append(FlowDemand(probe_id, [link.key for link in path.links], cap))
-        rates = max_min_allocation(demands, capacities)
-        return rates[probe_id]
 
     # -- internals ----------------------------------------------------------
 
@@ -229,12 +210,6 @@ class FlowNetwork:
                 if id(link) not in seen:
                     seen.add(id(link))
                     yield link
-
-    def _demands(self):
-        return [
-            FlowDemand(fid, [link.key for link in flow.links], flow.cap)
-            for fid, flow in self._flows.items()
-        ]
 
     @staticmethod
     def _capacities(links):
@@ -269,9 +244,8 @@ class FlowNetwork:
             flow.remaining = 0.0
             flow.completed_at = self.sim.now
             del self._flows[flow.id]
-            if self._solver is not None:
-                self._solver.remove_flow(flow.id)
-                self._unregister_links(flow)
+            self._solver.remove_flow(flow.id)
+            self._unregister_links(flow)
             self.completed.append(flow)
             flow.done.succeed(flow)
         # Links used only by just-finished flows drop out of the live
@@ -281,12 +255,7 @@ class FlowNetwork:
                 link.allocated = 0.0
 
         links = list(self._all_links())
-        if self._solver is not None:
-            rates = self._solver.rates(self._capacities(links))
-        else:
-            rates = max_min_allocation(
-                self._demands(), self._capacities(links)
-            )
+        rates = self._solver.rates(self._capacities(links))
         for link in links:
             link.allocated = 0.0
         for fid, flow in self._flows.items():

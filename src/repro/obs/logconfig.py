@@ -4,7 +4,9 @@ Every instrumented module logs under the ``repro`` root logger
 (``repro.gridftp.reliable``, ``repro.monitoring.nws.sensor``, ...):
 debug-level decision logs, warning-level fault/retry logs.  Nothing is
 emitted until a handler is attached — call :func:`configure_logging`
-(or ``logging.basicConfig``) to see output::
+(or ``logging.basicConfig``) to see output.  The ``repro`` logger
+carries a :class:`logging.NullHandler` from import on, so un-configured
+warnings do not fall through to :data:`logging.lastResort` on stderr::
 
     from repro.obs import configure_logging
     configure_logging("DEBUG")
@@ -20,6 +22,9 @@ _FORMAT = "%(levelname)s %(name)s: %(message)s"
 def repro_logger():
     """The ``repro`` root logger all module loggers descend from."""
     return logging.getLogger("repro")
+
+
+repro_logger().addHandler(logging.NullHandler())
 
 
 def configure_logging(level="INFO", stream=None, fmt=_FORMAT):

@@ -8,6 +8,7 @@ waiting on them.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator
 
@@ -15,8 +16,6 @@ from repro.obs.core import observability_for
 from repro.sim.errors import EmptySchedule, SimulationError
 from repro.sim.events import PRIORITY_NORMAL, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.queues import CalendarEventQueue, HeapEventQueue, \
-    make_event_queue
 from repro.sim.random_streams import StreamRegistry
 
 __all__ = ["Simulator", "add_build_hook", "remove_build_hook"]
@@ -63,10 +62,12 @@ class Simulator:
     def __init__(self, initial_time: float = 0.0, seed: int = 0,
                  observe: bool | None = None) -> None:
         self._now = float(initial_time)
-        #: Pending-event structure (see :mod:`repro.sim.queues`); the
-        #: implementation is pinned at construction by REPRO_EVENT_QUEUE.
-        self._queue: CalendarEventQueue | HeapEventQueue = \
-            make_event_queue()
+        #: Pending events: a binary heap of ``(time, priority, seq,
+        #: event)`` tuples, so tuple order is pop order (earliest time,
+        #: then urgent-before-normal, then FIFO by sequence number).
+        #: Cancelled entries stay queued (and counted) until they reach
+        #: the head, where they are discarded.
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = count()
         self.streams = StreamRegistry(seed)
         #: Number of events processed so far (diagnostic).
@@ -115,7 +116,7 @@ class Simulator:
 
         O(queue) — meant for sampling/diagnostics, not hot paths.
         """
-        return self._queue.cancelled_count()
+        return sum(1 for entry in self._queue if entry[3].cancelled)
 
     def set_profiler(self, profiler: Any) -> None:
         """Install a kernel profiler (``None`` detaches).
@@ -168,8 +169,8 @@ class Simulator:
         if not delay >= 0:
             # `not >=` rather than `<` so NaN delays are rejected too.
             raise ValueError(f"negative or NaN delay {delay}")
-        self._queue.push(
-            (self._now + delay, priority, next(self._eid), event)
+        heappush(
+            self._queue, (self._now + delay, priority, next(self._eid), event)
         )
         self.events_scheduled += 1
         depth = len(self._queue)
@@ -187,13 +188,12 @@ class Simulator:
         way — a disarmed guard timer never holds the horizon open.
         """
         queue = self._queue
-        while True:
-            head = queue.head()
-            if head is None:
-                return float("inf")
+        while queue:
+            head = queue[0]
             if not head[3].cancelled:
                 return head[0]
-            queue.pop()[3].callbacks = None
+            heappop(queue)[3].callbacks = None
+        return float("inf")
 
     def step(self) -> None:
         """Process the single next event.
@@ -206,7 +206,7 @@ class Simulator:
         """
         while True:
             try:
-                when, _, _, event = self._queue.pop()
+                when, _, _, event = heappop(self._queue)
             except IndexError:
                 raise EmptySchedule("no more events scheduled") from None
             if not event.cancelled:
@@ -259,14 +259,12 @@ class Simulator:
         """
         queue = self._queue
         if until is None:
-            while True:
-                head = queue.head()
-                if head is None:
-                    return None
-                if head[3].cancelled:
-                    queue.pop()[3].callbacks = None
+            while queue:
+                if queue[0][3].cancelled:
+                    heappop(queue)[3].callbacks = None
                 else:
                     self.step()
+            return None
 
         if isinstance(until, Event):
             return self._run_until_event(until)
@@ -276,12 +274,10 @@ class Simulator:
             raise ValueError(
                 f"until={horizon} lies in the past (now={self._now})"
             )
-        while True:
-            head = queue.head()
-            if head is None:
-                break
+        while queue:
+            head = queue[0]
             if head[3].cancelled:
-                queue.pop()[3].callbacks = None
+                heappop(queue)[3].callbacks = None
             elif head[0] <= horizon:
                 self.step()
             else:

@@ -7,7 +7,11 @@ the acceptance criteria name so a regression fails fast in tier 1.
 
 import pytest
 
-from repro.analysis.sanitizers import check_determinism
+from repro.analysis.sanitizers import (
+    check_determinism,
+    run_traced,
+    trace_digest,
+)
 from repro.experiments.runner import EXPERIMENTS
 
 
@@ -19,3 +23,33 @@ def test_quick_experiment_is_deterministic(experiment_id):
     )
     assert report.ok, report.describe()
     assert report.record_counts[0] > 0
+
+
+#: Same-seed (seed 0, quick) trace digests and record counts, pinned
+#: across commits.  A change that moves a single simulated byte in these
+#: exhibits fails here; re-pin only for a deliberate behaviour change.
+#: ``fig_scale`` exercises regional monitoring's shared sensor tick
+#: groups; ``fig_chaos`` is the longest of the three streams.
+PINNED_DIGESTS = {
+    "table1": (
+        "9c42ad936629e5ebba222c88f773bc68486cc93d1cda5909fcbfde01560ede6d",
+        47,
+    ),
+    "fig_scale": (
+        "f18a18062b6c4511e29c62708ef315c6e7dc2ed318be6c16fa8858770b1041d3",
+        90,
+    ),
+    "fig_chaos": (
+        "3a724c3d829f5b36254719bf8cb76efe2721645b85687b95aaa1e2049cb6e741",
+        807,
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment_id", sorted(PINNED_DIGESTS))
+def test_quick_trace_digest_is_pinned(experiment_id):
+    runner = EXPERIMENTS[experiment_id]
+    _, records = run_traced(lambda: runner(True, 0))
+    digest, count = PINNED_DIGESTS[experiment_id]
+    assert len(records) == count
+    assert trace_digest(records) == digest

@@ -34,7 +34,7 @@ def test_warm_run_reuses_everything(tmp_path):
     assert cold.parses == 4 and cold.parse_reused == 0
     _, warm = run(tmp_path, cache_path)
     assert warm.parses == 0 and warm.parse_reused == 4
-    for part in ("local", "closure", "global"):
+    for part in ("closure", "global"):
         assert warm.recomputed.get(part, []) == []
         assert warm.reused.get(part, 0) == 4
 
@@ -51,8 +51,6 @@ def test_edit_invalidates_through_import_chain(tmp_path):
     assert stats.parses == 1  # only leaf.py re-parsed
     assert set(stats.recomputed["closure"]) == {"leaf", "mid", "top"}
     assert stats.reused["closure"] == 1  # loner untouched
-    assert stats.recomputed["local"] == ["leaf"]
-    assert stats.reused["local"] == 3
     # GL103 evidence can live anywhere: global part recomputes fully.
     assert len(stats.recomputed["global"]) == 4
 

@@ -133,7 +133,7 @@ def test_sarif_embeds_the_rule_catalog():
     log = json.loads(render([], "sarif"))
     rules = log["runs"][0]["tool"]["driver"]["rules"]
     ids = [r["id"] for r in rules]
-    for code in ("GL001", "GL101", "GL102", "GL103", "GL104"):
+    for code in ("GL001", "GL101", "GL102", "GL103", "GL105"):
         assert code in ids
     jsonschema.validate(log, SARIF_SCHEMA)
 
@@ -142,12 +142,12 @@ def test_cli_sarif_end_to_end(tmp_path):
     out = tmp_path / "lint.sarif"
     code = main([
         "--format", "sarif", "--output", str(out), "--no-baseline",
-        os.path.join(FIXTURES, "gl104_bad"),
+        os.path.join(FIXTURES, "gl103_bad"),
     ])
     assert code == 1
     log = json.loads(out.read_text())
     jsonschema.validate(log, SARIF_SCHEMA)
-    assert [r["ruleId"] for r in log["runs"][0]["results"]] == ["GL104"]
+    assert [r["ruleId"] for r in log["runs"][0]["results"]] == ["GL103"]
 
 
 def test_baseline_roundtrip_suppresses_by_count(tmp_path):
@@ -174,7 +174,7 @@ def test_baseline_never_hides_parse_errors(tmp_path):
 
 
 def test_cli_update_baseline_then_clean(tmp_path, capsys):
-    target = os.path.join(FIXTURES, "gl104_bad")
+    target = os.path.join(FIXTURES, "gl103_bad")
     base = str(tmp_path / "base.json")
     assert main(["--baseline", base, target]) == 1
     assert main(["--update-baseline", "--baseline", base, target]) == 0
@@ -224,12 +224,12 @@ def test_cli_changed_filters_reporting(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flag,expected", [
-    ("--select", ["GL104"]),
+    ("--select", ["GL103"]),
     ("--ignore", []),
 ])
 def test_select_ignore_apply_to_program_rules(flag, expected, capsys):
-    target = os.path.join(FIXTURES, "gl104_bad")
-    main(["--no-baseline", flag, "GL104", target])
+    target = os.path.join(FIXTURES, "gl103_bad")
+    main(["--no-baseline", flag, "GL103", target])
     out = capsys.readouterr().out
     reported = [
         line.split()[1].rstrip(":") for line in out.splitlines()

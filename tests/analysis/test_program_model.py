@@ -125,21 +125,16 @@ def test_import_graph_and_closure():
     assert model.import_closure("repro.leaf") == frozenset({"repro.leaf"})
 
 
-def test_guard_and_toggle_facts_extracted():
+def test_guard_facts_extracted():
     info = extract_module("src/repro/a.py", (
-        "import os\n"
         "class T:\n"
         "    def __init__(self, sim):\n"
         "        self.sim = sim\n"
-        "        if os.environ.get('REPRO_EVENT_QUEUE') == 'heap':\n"
-        "            self._h = []\n"
         "    def arm(self):\n"
         "        t = self.sim.schedule(1.0, self.arm)\n"
         "        t.guard_tag = 'x'\n"
         "        t.cancel()\n"
     ))
-    init = info.functions["T.__init__"]
-    assert [t["env"] for t in init.toggles] == ["REPRO_EVENT_QUEUE"]
     arm = info.functions["T.arm"]
     assert [g["handle"] for g in arm.guards] == ["t"]
     assert "t" in arm.cancels
@@ -154,14 +149,3 @@ def test_roundtrip_through_json_facts():
     assert clone.as_dict() == info.as_dict()
 
 
-def test_toggle_detection_survives_cyclic_binding():
-    """`kind = kind or default` must not recurse forever."""
-    info = extract_module("src/repro/a.py", (
-        "import os\n"
-        "def pick(kind):\n"
-        "    kind = kind or 'x'\n"
-        "    if kind == 'y':\n"
-        "        return 1\n"
-        "    return 0\n"
-    ))
-    assert info.functions["pick"].toggles == []

@@ -1,5 +1,6 @@
 """Runtime sanitizers: sim-time watchdog and resource-leak sweep."""
 
+import heapq
 import math
 
 import pytest
@@ -67,7 +68,7 @@ class TestSimTimeWatchdog:
         def splice(event):
             # Slip an event behind the clock while the t=2 event is
             # being processed, bypassing schedule()'s delay guard.
-            sim._queue.push((1.0, 1, -1, stale))
+            heapq.heappush(sim._queue, (1.0, 1, -1, stale))
 
         timeout.callbacks.append(splice)
         sim.step()

@@ -1,9 +1,12 @@
 """Tests for the simulator core: clock, queue, run modes."""
 
+import math
+
 import pytest
 
 from repro.sim import Simulator, SimulationError
 from repro.sim.errors import EmptySchedule
+from repro.sim.events import PRIORITY_NORMAL, PRIORITY_URGENT
 
 
 def test_clock_starts_at_initial_time():
@@ -45,6 +48,46 @@ def test_ties_processed_in_fifo_order():
         sim.process(waiter(tag))
     sim.run()
     assert seen == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("entries, order, counts", [
+    pytest.param(
+        [(1.0, PRIORITY_NORMAL, "normal"), (1.0, PRIORITY_URGENT, "urgent")],
+        ["urgent", "normal"], [(2, 0), (1, 0)],
+        id="urgent-before-normal-at-same-instant",
+    ),
+    pytest.param(
+        [(math.inf, PRIORITY_NORMAL, "horizon"),
+         (3.0, PRIORITY_NORMAL, "near"), (1e9, PRIORITY_NORMAL, "far")],
+        ["near", "far", "horizon"], [(3, 0), (2, 0), (1, 0)],
+        id="inf-pops-after-every-finite-entry",
+    ),
+    pytest.param(
+        [(1.0, PRIORITY_NORMAL, "a"), (2.0, PRIORITY_NORMAL, None),
+         (0.5, PRIORITY_NORMAL, None), (3.0, PRIORITY_NORMAL, "b")],
+        ["a", "b"], [(4, 2), (2, 1)],
+        id="cancelled-entries-counted-until-they-reach-the-head",
+    ),
+])
+def test_queue_order_and_accounting(entries, order, counts):
+    """Pop order, and ``(queue_depth, queue_cancelled())`` before each
+    step; a ``None`` tag schedules an entry and then cancels it."""
+    sim = Simulator()
+    seen = []
+    for delay, priority, tag in entries:
+        event = sim.event()
+        event._ok, event._value = True, tag
+        event.callbacks.append(lambda e: seen.append(e.value))
+        sim.schedule(event, delay=delay, priority=priority)
+        if tag is None:
+            event.cancel()
+    observed = []
+    while sim.queue_depth:
+        observed.append((sim.queue_depth, sim.queue_cancelled()))
+        sim.step()
+    assert seen == order
+    assert observed == counts
+    assert sim.queue_cancelled() == 0
 
 
 def test_run_until_time_advances_clock_exactly():

@@ -9,16 +9,20 @@ unique max-min fair allocation subject to the caps.
 Flows that share no link (directly or transitively) cannot influence each
 other's rates, so the solver first splits the demand set into connected
 components over shared links and water-fills each component on its own.
-Besides being faster — each filling round is quadratic in the component,
-not the grid — this is what makes the *incremental* solver
-(:mod:`repro.network.solver`) exact: it re-solves only dirty components
-and reuses the others' cached rates, which equal a fresh solve
-bit-for-bit because each component's arithmetic is independent.
+Besides being faster — a filling round costs O(live links + active
+flows) of one component, not of the grid — this is what makes the
+*incremental* solver (:mod:`repro.network.solver`) exact: it re-solves
+only dirty components and reuses the others' cached rates, which equal
+a fresh solve bit-for-bit because each component's arithmetic is
+independent.
 
 The function is pure — it is the analytical heart of the network model
 and is tested exhaustively (including with hypothesis) in
-``tests/network/test_fairness.py`` and
-``tests/network/test_fairness_incremental.py``.
+``tests/network/test_fairness.py``,
+``tests/network/test_fairness_incremental.py`` and
+``tests/network/test_fill_differential.py``; the last compares the
+filling loop bit-for-bit with the plain rescanning loop it replaced,
+kept in ``tests/network/fill_reference.py``.
 """
 
 import math
@@ -87,23 +91,55 @@ def flow_components(demands):
     return list(groups.values())
 
 
+class _LinkState:
+    """One link of a component being water-filled."""
+
+    __slots__ = ("remaining", "live", "users")
+
+    def __init__(self, remaining):
+        #: Capacity not yet handed out, bytes/s.
+        self.remaining = remaining
+        #: Still-active flows over this link.
+        self.live = 0
+        #: Every flow over this link, in demand order.
+        self.users = []
+
+
 def _fill_component(demands, link_capacity):
     """Water-fill one connected component; returns ``flow_id -> rate``.
 
-    This is the progressive-filling loop the module always had, scoped
-    to a single component.  Its arithmetic depends only on the
-    component's demand order and its links' capacities — the exactness
-    contract the incremental solver's cache relies on.
+    Each round raises every still-active flow by the smallest increment
+    that saturates a link or reaches a cap, then freezes the flows on
+    saturated links and at their caps.  Its arithmetic depends only on
+    the component's demand order and its links' capacities — the
+    exactness contract the incremental solver's cache relies on.
+
+    A round costs O(live links + active flows), not a rescan of every
+    link's user set: each link keeps a count of its still-active users,
+    decremented once per link of each flow that freezes, only links
+    with a live user take part in later rounds, and only the users of
+    saturated links are looked at for freezing.  The allocations
+    themselves live in one shared ``level`` float.  Every active flow
+    started at 0.0 and has received exactly the same sequence of
+    increments, so its per-flow running sum would hold the very same
+    bits; a flow reads ``level`` once, when it freezes.  Increments are
+    picked with ``<`` in the same link-then-flow order as ``min`` would
+    scan them, so ties (even between signed zeros) resolve the same way.
     """
     active = {}
     for demand in demands:
         active[demand.flow_id] = demand
 
-    remaining = {}
-    users = {}
+    # Links in first-appearance order; a demand listing a link twice
+    # still counts once against it.
+    states = {}
+    links_of = {}
     for demand in demands:
-        for link in demand.links:
-            if link not in remaining:
+        fid = demand.flow_id
+        own = []
+        for link in dict.fromkeys(demand.links):
+            state = states.get(link)
+            if state is None:
                 capacity = float(link_capacity[link])
                 if not 0.0 <= capacity < math.inf:
                     # Rejects negative, NaN and infinite capacities: a
@@ -114,20 +150,26 @@ def _fill_component(demands, link_capacity):
                         f"negative, NaN or infinite capacity "
                         f"{capacity} on {link!r}"
                     )
-                remaining[link] = capacity
-                users[link] = set()
-            users[link].add(demand.flow_id)
+                state = states[link] = _LinkState(capacity)
+            state.live += 1
+            state.users.append(fid)
+            own.append(state)
+        links_of[fid] = own
+    live = list(states.values())
 
-    allocation = {fid: 0.0 for fid in active}
+    allocation = dict.fromkeys(active, 0.0)
+    level = 0.0
     while active:
         # Smallest increment that saturates a link or exhausts a cap.
         increment = math.inf
-        for link, flow_ids in users.items():
-            live = [fid for fid in flow_ids if fid in active]
-            if live:
-                increment = min(increment, remaining[link] / len(live))
-        for fid, demand in active.items():
-            increment = min(increment, demand.cap - allocation[fid])
+        for state in live:
+            share = state.remaining / state.live
+            if share < increment:
+                increment = share
+        for demand in active.values():
+            headroom = demand.cap - level
+            if headroom < increment:
+                increment = headroom
         if math.isinf(increment):
             # Only capless flows over infinite links remain (impossible
             # now that infinite capacities are rejected); freeze them at
@@ -135,39 +177,43 @@ def _fill_component(demands, link_capacity):
             for fid in active:
                 allocation[fid] = math.inf
             break
-        increment = max(increment, 0.0)
+        if increment < 0.0:
+            increment = 0.0
 
-        # Apply the increment and drain link budgets.
-        for fid in active:
-            allocation[fid] += increment
-        for link, flow_ids in users.items():
-            live = sum(1 for fid in flow_ids if fid in active)
-            if live:
-                remaining[link] -= increment * live
+        # Apply the increment, drain link budgets and note saturation.
+        level += increment
+        saturated = set()
+        for state in live:
+            left = state.remaining - increment * state.live
+            state.remaining = left
+            if left <= _EPS:
+                saturated.update(state.users)
 
-        # Freeze flows on saturated links and flows at their caps.
-        frozen = set()
-        for link, flow_ids in users.items():
-            if remaining[link] <= _EPS:
-                frozen.update(fid for fid in flow_ids if fid in active)
-        for fid, demand in active.items():
-            if allocation[fid] >= demand.cap - _EPS:
-                frozen.add(fid)
-        if not frozen:
+        # Freeze flows on saturated links and flows at their caps, in
+        # the active dict's own (insertion) order.
+        freezing = [
+            fid for fid, demand in active.items()
+            if fid in saturated or level >= demand.cap - _EPS
+        ]
+        if not freezing:
             # Numerical guard: increment was ~0 without freezing anyone;
-            # freeze the tightest flow to guarantee termination.
-            tight = min(
-                active,
-                key=lambda f: min(
-                    [remaining[link] for link in active[f].links] +
-                    [active[f].cap - allocation[f]]
-                ),
-            )
-            frozen.add(tight)
-        # Delete in the dict's own (insertion) order, not set order, so
-        # the surviving iteration order is identical run-to-run.
-        for fid in [f for f in active if f in frozen]:
+            # freeze the tightest flow (the first, on ties) to guarantee
+            # termination.
+            tight = tightest = None
+            for fid, demand in active.items():
+                slack = min(
+                    [states[link].remaining for link in demand.links] +
+                    [demand.cap - level]
+                )
+                if tight is None or slack < tightest:
+                    tight, tightest = fid, slack
+            freezing.append(tight)
+        for fid in freezing:
             del active[fid]
+            allocation[fid] = level
+            for state in links_of[fid]:
+                state.live -= 1
+        live = [state for state in live if state.live]
 
     return allocation
 

@@ -103,8 +103,9 @@ class FlowNetwork:
         #: Incremental fair-share solver mirroring the live flow set
         #: (see :mod:`repro.network.solver`).
         self._solver = IncrementalMaxMinSolver()
-        #: key -> [link, refcount] over live flows' links, so the
-        #: solver can read fresh capacities by key during probes.
+        #: key -> [link, refcount] over live flows' links: the live
+        #: link set, so rebalances and probes read fresh capacities
+        #: by key.
         self._links_by_key = {}
         #: Completed-flow log (diagnostics and tests).
         self.completed = []
@@ -190,6 +191,10 @@ class FlowNetwork:
             if entry is None:
                 self._links_by_key[link.key] = [link, 1]
             else:
+                # The registry is the live link set: one key must name
+                # one link object (directed links and resource channels
+                # never share a key).
+                assert entry[0] is link, f"two links share key {link.key!r}"
                 entry[1] += 1
 
     def _unregister_links(self, flow):
@@ -202,23 +207,6 @@ class FlowNetwork:
     def _capacity_of(self, key):
         """Fresh available capacity of a live flow's link, by key."""
         return self._links_by_key[key][0].available_capacity
-
-    def _all_links(self):
-        seen = set()
-        for flow in self._flows.values():
-            for link in flow.links:
-                if id(link) not in seen:
-                    seen.add(id(link))
-                    yield link
-
-    @staticmethod
-    def _capacities(links):
-        capacities = {}
-        for link in links:
-            # Two directed links never share a key; resource links use
-            # their own unique keys.
-            capacities[link.key] = link.available_capacity
-        return capacities
 
     def _settle(self):
         """Credit bytes moved since the last settle point."""
@@ -254,10 +242,11 @@ class FlowNetwork:
             for link in flow.links:
                 link.allocated = 0.0
 
-        links = list(self._all_links())
-        rates = self._solver.rates(self._capacities(links))
-        for link in links:
+        capacities = {}
+        for key, (link, _) in self._links_by_key.items():
+            capacities[key] = link.available_capacity
             link.allocated = 0.0
+        rates = self._solver.rates(capacities)
         for fid, flow in self._flows.items():
             flow.rate = rates[fid]
             for link in flow.links:

@@ -1,0 +1,101 @@
+"""Reference water-filling loop for the differential battery.
+
+:func:`repro.network.fairness._fill_component` keeps live per-link
+counts and one shared fill level so that a round costs O(live links +
+active flows).  This module keeps the straightforward loop it replaced,
+which rescans every link's whole user set three times a round.  It is
+slow but plainly correct, and ``tests/network/test_fill_differential.py``
+requires the kernel to reproduce its rates bit-for-bit, in the same key
+order.  It lives under ``tests/`` because nothing in the library may
+call it.
+"""
+
+import math
+
+from repro.network.fairness import _EPS
+
+__all__ = ["reference_fill_component"]
+
+
+def reference_fill_component(demands, link_capacity):
+    """Water-fill one connected component; returns ``flow_id -> rate``.
+
+    The plain progressive-filling loop: every round rescans each link's
+    whole user set (to count live users, drain budgets and find
+    saturated links) and keeps one running allocation per flow.
+    """
+    active = {}
+    for demand in demands:
+        active[demand.flow_id] = demand
+
+    remaining = {}
+    users = {}
+    for demand in demands:
+        for link in demand.links:
+            if link not in remaining:
+                capacity = float(link_capacity[link])
+                if not 0.0 <= capacity < math.inf:
+                    # Rejects negative, NaN and infinite capacities: a
+                    # NaN would silently poison every rate in the
+                    # component, an infinite link would spin the
+                    # filling loop forever for capless flows.
+                    raise ValueError(
+                        f"negative, NaN or infinite capacity "
+                        f"{capacity} on {link!r}"
+                    )
+                remaining[link] = capacity
+                users[link] = set()
+            users[link].add(demand.flow_id)
+
+    allocation = {fid: 0.0 for fid in active}
+    while active:
+        # Smallest increment that saturates a link or exhausts a cap.
+        increment = math.inf
+        for link, flow_ids in users.items():
+            live = [fid for fid in flow_ids if fid in active]
+            if live:
+                increment = min(increment, remaining[link] / len(live))
+        for fid, demand in active.items():
+            increment = min(increment, demand.cap - allocation[fid])
+        if math.isinf(increment):
+            # Only capless flows over infinite links remain (impossible
+            # now that infinite capacities are rejected); freeze them at
+            # infinity rather than loop forever.
+            for fid in active:
+                allocation[fid] = math.inf
+            break
+        increment = max(increment, 0.0)
+
+        # Apply the increment and drain link budgets.
+        for fid in active:
+            allocation[fid] += increment
+        for link, flow_ids in users.items():
+            live = sum(1 for fid in flow_ids if fid in active)
+            if live:
+                remaining[link] -= increment * live
+
+        # Freeze flows on saturated links and flows at their caps.
+        frozen = set()
+        for link, flow_ids in users.items():
+            if remaining[link] <= _EPS:
+                frozen.update(fid for fid in flow_ids if fid in active)
+        for fid, demand in active.items():
+            if allocation[fid] >= demand.cap - _EPS:
+                frozen.add(fid)
+        if not frozen:
+            # Numerical guard: increment was ~0 without freezing anyone;
+            # freeze the tightest flow to guarantee termination.
+            tight = min(
+                active,
+                key=lambda f: min(
+                    [remaining[link] for link in active[f].links] +
+                    [active[f].cap - allocation[f]]
+                ),
+            )
+            frozen.add(tight)
+        # Delete in the dict's own (insertion) order, not set order, so
+        # the surviving iteration order is identical run-to-run.
+        for fid in [f for f in active if f in frozen]:
+            del active[fid]
+
+    return allocation

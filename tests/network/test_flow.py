@@ -194,6 +194,31 @@ def test_extra_links_shared_between_flows():
     assert f2.completed_at == pytest.approx(10.0)
 
 
+
+def test_one_key_names_one_link_object():
+    """The live-link registry is keyed by link key; a second object
+    reusing a live key would silently lose its capacity."""
+    _, _, net = make_net(capacity=1000.0)
+    net.start_flow("a", "b", 500.0, extra_links=[Link("disk", "a-read", 100.0)])
+    impostor = Link("disk", "a-read", capacity=5.0)
+    with pytest.raises(AssertionError, match="share key"):
+        net.start_flow("a", "c", 500.0, extra_links=[impostor])
+
+
+def test_allocation_tracks_the_live_link_set():
+    sim, topo, net = make_net(capacity=100.0)
+    disk = Link("disk", "a-read", capacity=1000.0)
+    short = net.start_flow("a", "b", 100.0, extra_links=[disk])
+    long = net.start_flow("a", "c", 1000.0)
+    assert disk.allocated == pytest.approx(50.0)
+    sim.run(until=short.done)
+    # The finished flow's exclusive links leave the live set idle; the
+    # survivor's links carry exactly its new rate.
+    assert disk.allocated == 0.0
+    assert topo.link("a", "b").allocated == pytest.approx(100.0)
+    assert topo.link("b", "c").allocated == pytest.approx(100.0)
+    assert long.rate == pytest.approx(100.0)
+
 def test_probe_rate_sees_contention():
     sim, _, net = make_net(capacity=100.0)
     assert net.probe_rate("a", "b") == pytest.approx(100.0)

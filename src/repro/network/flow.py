@@ -2,10 +2,19 @@
 
 :class:`FlowNetwork` tracks the set of in-flight flows.  Whenever the set
 changes — a flow starts, finishes, is aborted, or the environment shifts
-(cross-traffic, disk load) — it settles the bytes moved so far, recomputes
-every rate with the :class:`~repro.network.solver.IncrementalMaxMinSolver`
-(exactly :func:`~repro.network.fairness.max_min_allocation`'s answer),
-and reschedules completion events.
+(cross-traffic, disk load) — it settles the bytes every flow moved so
+far, asks the :class:`~repro.network.solver.IncrementalMaxMinSolver`
+(which mirrors the live flow set) for new rates, and reschedules the
+earliest completion.
+
+The solver re-solves only the connected components the change touched
+and returns only their rates, so the network writes ``flow.rate`` and
+``link.allocated`` for those flows and links alone; every other flow's
+rate is exactly what a full solve would give it again.  Settling stays
+eager (every live flow, at every change) and the wakeup is the minimum
+over every live flow's completion time, so each flow's byte count is
+rounded exactly as a full recomputation would round it.  A rebalance
+with no live flow only moves the settle point.
 
 Two modelling points worth noting:
 
@@ -17,6 +26,9 @@ Two modelling points worth noting:
   cost model).
 * Each flow may carry a static rate ``cap`` — for transfers this is the
   per-stream TCP limit from :class:`repro.network.tcp.TCPModel`.
+
+``pytest --sanitize`` checks the model's physical invariants after
+every reallocation (``tests/network/flow_invariants.py``).
 """
 
 import itertools
@@ -161,6 +173,11 @@ class FlowNetwork:
 
     def rebalance(self):
         """Recompute rates after an external change (load, capacity)."""
+        if not self._flows:
+            # Nothing to settle, solve or wake: only the settle point
+            # moves on.
+            self._last_settle = self.sim.now
+            return
         self._settle()
         self._reallocate()
 
@@ -222,7 +239,8 @@ class FlowNetwork:
                 link.bytes_carried += moved
 
     def _reallocate(self):
-        """Recompute all rates and reschedule the next completion."""
+        """Re-solve what changed, write those rates and link
+        allocations, and reschedule the next completion."""
         # Complete any flows that have drained.
         finished = [
             flow for flow in self._flows.values()
@@ -242,15 +260,24 @@ class FlowNetwork:
             for link in flow.links:
                 link.allocated = 0.0
 
-        capacities = {}
-        for key, (link, _) in self._links_by_key.items():
-            capacities[key] = link.available_capacity
-            link.allocated = 0.0
-        rates = self._solver.rates(capacities)
-        for fid, flow in self._flows.items():
-            flow.rate = rates[fid]
+        # Only re-solved components' rates can have moved; every other
+        # flow keeps its rate and every other link its allocation.  A
+        # link's users all sit in one component, which the solver
+        # returns in flow insertion order, so each allocation is summed
+        # in the same order as a full recomputation would.
+        rates = self._solver.rates({
+            key: entry[0].available_capacity
+            for key, entry in self._links_by_key.items()
+        })
+        flows = self._flows
+        for fid in rates:
+            for link in flows[fid].links:
+                link.allocated = 0.0
+        for fid, rate in rates.items():
+            flow = flows[fid]
+            flow.rate = rate
             for link in flow.links:
-                link.allocated += flow.rate
+                link.allocated += rate
 
         self._schedule_wakeup()
 

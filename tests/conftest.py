@@ -10,21 +10,23 @@ def pytest_addoption(parser):
     parser.addoption(
         "--sanitize", action="store_true", default=False,
         help="arm the sim-time watchdog on every simulator the tests "
-             "build and fail tests that break clock discipline",
+             "build and the flow-model invariant checks on every flow "
+             "network, and fail tests that break either",
     )
 
 
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "no_sanitize: opt a test out of the --sanitize watchdog "
-        "(for tests that break sim-time invariants on purpose)",
+        "no_sanitize: opt a test out of the --sanitize checks "
+        "(for tests that break sim-time or flow invariants on purpose)",
     )
 
 
 @pytest.fixture(autouse=True)
 def _sim_time_sanitizer(request):
-    """Under ``--sanitize``, watch every simulator a test constructs."""
+    """Under ``--sanitize``, watch every simulator a test constructs
+    and check every flow network after each reallocation."""
     if not request.config.getoption("--sanitize"):
         yield
         return
@@ -32,15 +34,23 @@ def _sim_time_sanitizer(request):
         yield
         return
     from repro.analysis.sanitizers import install_global_watchdog
+    from tests.network.flow_invariants import install_flow_invariants
 
     guard = install_global_watchdog()
+    flows = install_flow_invariants()
     try:
         yield
     finally:
+        flows.uninstall()
         guard.uninstall()
     violations = guard.violations()
     assert not violations, (
         "sim-time watchdog violations:\n"
+        + "\n".join(str(v) for v in violations)
+    )
+    violations = flows.violations()
+    assert not violations, (
+        "flow-model invariant violations:\n"
         + "\n".join(str(v) for v in violations)
     )
 

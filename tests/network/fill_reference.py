@@ -1,20 +1,85 @@
-"""Reference water-filling loop for the differential battery.
+"""Reference max-min allocation for the differential batteries.
 
-:func:`repro.network.fairness._fill_component` keeps live per-link
+:func:`repro.network.solver._fill_component` keeps live per-link
 counts and one shared fill level so that a round costs O(live links +
-active flows).  This module keeps the straightforward loop it replaced,
-which rescans every link's whole user set three times a round.  It is
-slow but plainly correct, and ``tests/network/test_fill_differential.py``
-requires the kernel to reproduce its rates bit-for-bit, in the same key
-order.  It lives under ``tests/`` because nothing in the library may
-call it.
+active flows), and the incremental solver keeps its link entries and
+components between solves.  This module keeps the straightforward code
+both replaced: :func:`reference_fill_component`, the loop that rescans
+every link's whole user set three times a round, and
+:func:`flow_components`, a union-find over every demand that derives the
+components from scratch.  :func:`reference_allocation` puts the two
+together.  They are slow but plainly correct, and
+``tests/network/test_fill_differential.py`` and
+``tests/network/test_solver_churn.py`` require the library to reproduce
+their rates bit-for-bit, in the same key order.  They live under
+``tests/`` because nothing in the library may call them.
 """
 
 import math
 
-from repro.network.fairness import _EPS
+from repro.network.solver import _EPS
 
-__all__ = ["reference_fill_component"]
+__all__ = [
+    "flow_components",
+    "reference_allocation",
+    "reference_fill_component",
+]
+
+
+def flow_components(demands):
+    """Group demands into connected components over shared links.
+
+    Two demands are connected when they share a link key, directly or
+    through a chain of other demands.  Returns a list of demand lists;
+    both the components and the demands within each preserve the input
+    order.
+    """
+    demands = list(demands)
+    parent = list(range(len(demands)))
+
+    def find(index):
+        root = index
+        while parent[root] != root:
+            root = parent[root]
+        while parent[index] != root:
+            parent[index], index = root, parent[index]
+        return root
+
+    link_owner = {}
+    for index, demand in enumerate(demands):
+        for link in demand.links:
+            owner = link_owner.get(link)
+            if owner is None:
+                link_owner[link] = index
+            else:
+                root_a, root_b = find(owner), find(index)
+                if root_a != root_b:
+                    # Attach the younger root under the older one so
+                    # roots stay deterministic in input order.
+                    if root_a < root_b:
+                        parent[root_b] = root_a
+                    else:
+                        parent[root_a] = root_b
+
+    groups = {}
+    for index, demand in enumerate(demands):
+        groups.setdefault(find(index), []).append(demand)
+    return list(groups.values())
+
+
+def reference_allocation(demands, link_capacity):
+    """Max-min rates in demand order: each component water-filled on
+    its own by :func:`reference_fill_component`; a linkless demand
+    receives its cap."""
+    demands = list(demands)
+    rates = {}
+    routed = [demand for demand in demands if demand.links]
+    for component in flow_components(routed):
+        rates.update(reference_fill_component(component, link_capacity))
+    return {
+        demand.flow_id: rates[demand.flow_id] if demand.links else demand.cap
+        for demand in demands
+    }
 
 
 def reference_fill_component(demands, link_capacity):

@@ -3,9 +3,11 @@
 The incremental solver's whole claim is *exact* equality with
 :func:`repro.network.fairness.max_min_allocation` — not approximate:
 component arithmetic is a pure function of (demand order, caps, link
-capacities), so cached rates must be bit-identical to a fresh solve.
-These tests drive random churn sequences (flow arrivals, departures,
-capacity rewrites) through both paths and compare with ``==``.
+capacities), so the rates of components it leaves alone must be
+bit-identical to a fresh solve.  ``rates()`` returns only the rates it
+re-solved; these tests fold them into the rates known so far, drive
+random churn sequences (flow arrivals, departures, capacity rewrites)
+through both paths and compare with ``==``.
 
 Also here: the NaN/inf capacity regression tests for the oracle, since
 rejecting poisoned capacities is what makes the cache's float-equality
@@ -65,6 +67,7 @@ def test_churn_matches_oracle_exactly(ops):
     solver = IncrementalMaxMinSolver()
     demands = {}
     capacities = {link: 100.0 for link in _LINKS}
+    known = {}
     next_id = 0
     for op in ops:
         if op[0] == "add":
@@ -79,13 +82,14 @@ def test_churn_matches_oracle_exactly(ops):
             fid = next(iter(demands))
             solver.remove_flow(fid)
             del demands[fid]
+            del known[fid]
         else:
             _, link, value = op
             capacities[link] = value
-        incremental = solver.rates(capacities)
+        known.update(solver.rates(capacities))
         oracle = _oracle(demands, capacities)
         # Exact equality, not approx: the cache contract is bit-identity.
-        assert incremental == oracle
+        assert known == oracle
 
 
 @settings(max_examples=150, deadline=None)
@@ -122,9 +126,10 @@ def test_unchanged_component_is_a_cache_hit():
     solver.add_flow("right", ["b"])
     capacities = {"a": 10.0, "b": 20.0}
     first = solver.rates(capacities)
+    assert first == {"left": 10.0, "right": 20.0}
     assert solver.solves == 2 and solver.cache_hits == 0
-    second = solver.rates(capacities)
-    assert second == first
+    # Nothing changed, so nothing is re-solved or returned.
+    assert solver.rates(capacities) == {}
     assert solver.solves == 2 and solver.cache_hits == 2
 
 
@@ -136,7 +141,7 @@ def test_capacity_change_invalidates_only_touched_component():
     solver.rates(capacities)
     capacities["a"] = 5.0
     rates = solver.rates(capacities)
-    assert rates == {"left": 5.0, "right": 20.0}
+    assert rates == {"left": 5.0}
     # left re-solved, right was served from cache.
     assert solver.solves == 3 and solver.cache_hits == 1
 

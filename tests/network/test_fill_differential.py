@@ -1,13 +1,16 @@
 """Differential battery: the water-filling kernel vs the reference loop.
 
-:func:`repro.network.fairness._fill_component` counts live users per
+:func:`repro.network.solver._fill_component` counts live users per
 link and keeps one shared fill level instead of rescanning every link's
-user set each round.  The claim is that it performs the same float
-operations in the same order, so its rates must equal
-:func:`tests.network.fill_reference.reference_fill_component`'s
-*bit-for-bit* (signed zeros included) and in the same key order.  The
-solver battery in ``test_fairness_incremental.py`` cannot check this:
-its oracle, ``max_min_allocation``, calls the same kernel.
+user set each round, and it fills from the solver's persistent link
+entries.  The claim is that it performs the same float operations in
+the same order, so :func:`repro.network.fairness.max_min_allocation`
+(a fresh solver, solved once) must equal
+:func:`tests.network.fill_reference.reference_allocation` — the
+reference loop run on each component found by a from-scratch
+union-find — *bit-for-bit* (signed zeros included) and in the same key
+order.  The solver battery in ``test_fairness_incremental.py`` cannot
+check this: its oracle, ``max_min_allocation``, runs the same kernel.
 
 The strategies draw values from small pools so that ties are common:
 many flows on one link, caps equal to a link's fair share, link and cap
@@ -24,8 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.fairness import FlowDemand, _fill_component
-from tests.network.fill_reference import reference_fill_component
+from repro.network.fairness import FlowDemand, max_min_allocation
+from tests.network.fill_reference import reference_allocation
 
 _LINKS = ["a", "b", "c", "d", "e"]
 
@@ -69,8 +72,8 @@ def _bits(allocation):
 
 
 def _assert_identical(demands, capacities):
-    want = reference_fill_component(demands, capacities)
-    got = _fill_component(demands, capacities)
+    want = reference_allocation(demands, capacities)
+    got = max_min_allocation(demands, capacities)
     assert _bits(got) == _bits(want)
     return got
 
@@ -154,6 +157,7 @@ def test_termination_guard_path():
 
 
 def test_linkless_capless_demand_escapes_at_infinity():
+    """A linkless demand is never water-filled: it receives its cap."""
     demands = [FlowDemand("free", []), FlowDemand("bound", ["x"], cap=2.0)]
     got = _assert_identical(demands, {"x": 1.0})
     assert got == {"free": math.inf, "bound": 1.0}
@@ -164,6 +168,6 @@ def test_bad_capacity_rejected_like_reference(bad):
     demands = [FlowDemand("f", ["ok", "bad"])]
     capacities = {"ok": 1.0, "bad": bad}
     with pytest.raises(ValueError):
-        reference_fill_component(demands, capacities)
+        reference_allocation(demands, capacities)
     with pytest.raises(ValueError):
-        _fill_component(demands, capacities)
+        max_min_allocation(demands, capacities)

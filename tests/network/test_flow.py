@@ -219,6 +219,43 @@ def test_allocation_tracks_the_live_link_set():
     assert topo.link("b", "c").allocated == pytest.approx(100.0)
     assert long.rate == pytest.approx(100.0)
 
+def test_idle_rebalance_touches_nothing():
+    """With no live flow, a rebalance only moves the settle point."""
+    sim, topo, net = make_net(capacity=100.0)
+    flow = net.start_flow("a", "b", 100.0)
+    sim.run(until=flow.done)
+    sim.run(until=sim.now + 5.0)
+    rates = [flow.rate for flow in net.completed]
+    allocated = [link.allocated for link in topo.links()]
+    queue = list(sim._queue)
+    scheduled = sim.events_scheduled
+    counters = net._solver.solves, net._solver.cache_hits
+    topo.link("a", "b").background_utilisation = 0.5
+    net.rebalance()
+    assert net._last_settle == sim.now
+    assert [flow.rate for flow in net.completed] == rates
+    assert [link.allocated for link in topo.links()] == allocated
+    assert list(sim._queue) == queue
+    assert sim.events_scheduled == scheduled
+    assert (net._solver.solves, net._solver.cache_hits) == counters
+
+
+def test_rebalance_rewrites_only_the_touched_component():
+    sim, topo, net = make_net(capacity=100.0)
+    left = net.start_flow("a", "b", 1e6)
+    right = net.start_flow("c", "b", 1e6, cap=30.0)
+    assert (left.rate, right.rate) == (100.0, 30.0)
+    # Planted marks survive only where nothing was re-solved.
+    right.rate = -1.0
+    topo.link("c", "b").allocated = -1.0
+    topo.link("a", "b").background_utilisation = 0.5
+    net.rebalance()
+    assert left.rate == 50.0
+    assert topo.link("a", "b").allocated == 50.0
+    assert right.rate == -1.0
+    assert topo.link("c", "b").allocated == -1.0
+
+
 def test_probe_rate_sees_contention():
     sim, _, net = make_net(capacity=100.0)
     assert net.probe_rate("a", "b") == pytest.approx(100.0)

@@ -36,7 +36,7 @@ def run_ablation_forecast(duration=1800.0, seed=0, sensor_period=10.0):
     best_names = set()
     for src, dst in AUDITED_PAIRS:
         key = series_key("bandwidth", src, dst)
-        battery = testbed.nws_memory._batteries[key]
+        battery = testbed.nws_memory.battery(key)
         series = testbed.nws_memory.series(key)
         mean_value = sum(series.values()) / len(series)
         best = battery.best_name()

@@ -7,10 +7,11 @@ battery here mirrors the NWS set: last value, running mean, sliding
 means and medians of several window lengths, and exponential smoothing
 with several gains.
 
-The predictors sit on the sensor hot path (every stored measurement
-scores and updates the whole battery), so their internals favour O(1)
-amortised work: windows are deques, and the median keeps its window in
-a bisect-maintained sorted list instead of re-sorting per prediction.
+The predictors sit on the query hot path (every reading a battery
+folds scores and updates all of its predictors), so their internals
+favour O(1) amortised work: windows are deques, and the median keeps
+its window in a bisect-maintained sorted list instead of re-sorting per
+prediction.
 Every optimisation here is value-exact — the reported predictions are
 bit-identical to the straightforward definitions (``statistics.median``
 over the window, ``math.fsum`` over the window), which the same-seed
@@ -253,9 +254,10 @@ class ForecasterBattery:
             raise ValueError("need at least one forecaster")
         self.forecasters = list(forecasters)
         # Scores are index-parallel to ``forecasters`` and the observe
-        # methods are prebound: update() runs once per measurement on
-        # every sensor in the grid, so the per-forecaster constant
-        # factor (attribute lookups, name hashing) is hot-path cost.
+        # methods are prebound: update() runs once per folded reading,
+        # tens of thousands of times per run, so the per-forecaster
+        # constant factor (attribute lookups, name hashing) is hot-path
+        # cost.
         self._observers = [f.observe for f in self.forecasters]
         self._abs_error = [0.0] * len(self.forecasters)
         self._scored = [0] * len(self.forecasters)

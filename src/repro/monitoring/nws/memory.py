@@ -1,9 +1,19 @@
 """nws_memory: persistent storage of measurements plus forecasting.
 
 Each stored series keeps a bounded :class:`SampleSeries` of raw readings
-and a :class:`ForecasterBattery` updated on every arrival, so forecasts
-are available instantly at query time (as in the real NWS, where the
-forecaster library runs inside the memory/API layer).
+and a :class:`ForecasterBattery` (as in the real NWS, where the
+forecaster library runs inside the memory/API layer).  Storing only
+appends the reading; the battery catches up on the readings it has not
+seen when someone asks for the series' forecast or battery, one
+``ForecasterBattery.update`` per value in arrival order, so forecasts
+are exactly those of a battery fed on every arrival.  Most series are
+never forecast (a selection only asks for its own client's paths), so
+most of them cost one append per reading until their bound fills.
+
+The readings not yet folded are the tail of the series itself.  When
+the bound evicts a reading the battery has not seen, that one reading
+is folded as it leaves, so the battery trails the series by at most
+``max_samples_per_series`` readings and nothing is buffered twice.
 """
 
 from repro.monitoring.nws.forecasting import ForecasterBattery, default_battery
@@ -17,6 +27,18 @@ __all__ = ["NwsMemory"]
 _ERROR_BUCKETS = exponential_buckets(1e-6, 10.0, 12)
 
 
+class _Series:
+    """One key's readings, its battery and how many readings (the
+    newest ones) the battery has not folded yet."""
+
+    __slots__ = ("samples", "battery", "unfolded")
+
+    def __init__(self, samples, battery):
+        self.samples = samples
+        self.battery = battery
+        self.unfolded = 0
+
+
 class NwsMemory:
     """Stores measurement series and answers forecast queries."""
 
@@ -26,17 +48,18 @@ class NwsMemory:
         self.name = name
         self.max_samples_per_series = max_samples_per_series
         self._battery_factory = battery_factory
-        self._series = {}
-        self._batteries = {}
+        self._records = {}
         self._obs_on = sim.obs.enabled
         self._error_histograms = {}
         self._frozen = False
         #: Measurements dropped while the memory was frozen.
         self.measurements_dropped = 0
+        #: Readings folded into batteries, over the memory's lifetime.
+        self.folded = 0
 
     def __repr__(self):
         state = " FROZEN" if self._frozen else ""
-        return f"<NwsMemory {self.name}{state} {len(self._series)} series>"
+        return f"<NwsMemory {self.name}{state} {len(self._records)} series>"
 
     @property
     def is_frozen(self):
@@ -62,16 +85,16 @@ class NwsMemory:
             self.measurements_dropped += 1
             return
         key = measurement.key
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = SampleSeries(
-                max_samples=self.max_samples_per_series
+        record = self._records.get(key)
+        if record is None:
+            record = self._records[key] = _Series(
+                SampleSeries(max_samples=self.max_samples_per_series),
+                ForecasterBattery(self._battery_factory()),
             )
-            self._batteries[key] = ForecasterBattery(self._battery_factory())
         elif self._obs_on:
             # Score the previous forecast against the reading that just
-            # arrived, before it is folded into the battery.
-            prediction, _ = self._batteries[key].forecast()
+            # arrived, before it is stored.
+            prediction, _ = self._caught_up(record).forecast()
             if prediction is not None:
                 resource = measurement.resource
                 histogram = self._error_histograms.get(resource)
@@ -82,28 +105,54 @@ class NwsMemory:
                     )
                     self._error_histograms[resource] = histogram
                 histogram.observe(abs(prediction - measurement.value))
-        series.append(measurement.time, measurement.value)
-        self._batteries[key].update(measurement.value)
+        samples = record.samples
+        evicted = samples.append(measurement.time, measurement.value)
+        if evicted is not None and record.unfolded == samples.max_samples:
+            # The oldest reading leaves unseen: fold it on its way out,
+            # so the battery still sees every reading in order.
+            record.battery.update(evicted)
+            self.folded += 1
+        else:
+            record.unfolded += 1
+
+    def _caught_up(self, record):
+        """Fold ``record``'s unseen readings; returns its battery."""
+        battery = record.battery
+        unfolded = record.unfolded
+        if unfolded:
+            update = battery.update
+            for value in record.samples.recent(unfolded):
+                update(value)
+            record.unfolded = 0
+            self.folded += unfolded
+        return battery
 
     def keys(self):
         """All stored series keys."""
-        return sorted(self._series, key=str)
+        return sorted(self._records, key=str)
 
     def has_series(self, key):
-        return key in self._series
+        return key in self._records
 
     def series(self, key):
         """Raw :class:`SampleSeries` for a key (KeyError if absent)."""
-        return self._series[key]
+        return self._records[key].samples
+
+    def battery(self, key):
+        """The key's :class:`ForecasterBattery`, caught up with every
+        stored reading (KeyError if absent)."""
+        return self._caught_up(self._records[key])
 
     def latest(self, key):
         """Most recent (time, value) for a key, or None."""
-        if key not in self._series:
+        record = self._records.get(key)
+        if record is None:
             return None
-        return self._series[key].latest
+        return record.samples.latest
 
     def forecast(self, key):
         """(prediction, forecaster_name) for a key, or (None, None)."""
-        if key not in self._batteries:
+        record = self._records.get(key)
+        if record is None:
             return None, None
-        return self._batteries[key].forecast()
+        return self._caught_up(record).forecast()

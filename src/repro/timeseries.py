@@ -110,7 +110,11 @@ class SampleSeries:
         return iter(zip(self._times, self._values))
 
     def append(self, time, value):
-        """Record one sample; times must be non-decreasing."""
+        """Record one sample; times must be non-decreasing.
+
+        Returns the value of the oldest sample when the bound evicts it,
+        else None.
+        """
         if self._times and time < self._times[-1]:
             raise ValueError(
                 f"non-monotone sample time: {time} < {self._times[-1]}"
@@ -119,7 +123,8 @@ class SampleSeries:
         self._values.append(float(value))
         if self.max_samples is not None and len(self._times) > self.max_samples:
             del self._times[0]
-            del self._values[0]
+            return self._values.pop(0)
+        return None
 
     @property
     def latest(self):

@@ -29,8 +29,13 @@ def test_quick_experiment_is_deterministic(experiment_id):
 #: across commits.  A change that moves a single simulated byte in these
 #: exhibits fails here; re-pin only for a deliberate behaviour change.
 #: ``fig_scale`` exercises regional monitoring's shared sensor tick
-#: groups; ``fig_chaos`` is the longest of the three streams.
+#: groups; ``fig_chaos`` is the longest of the three streams;
+#: ``abl_forecast`` carries the NWS forecast-error histograms.
 PINNED_DIGESTS = {
+    "abl_forecast": (
+        "84132ad6efc994975f017f4cf92707706f4f7e4dade4005c2bd2d4f85310a96e",
+        11,
+    ),
     "table1": (
         "9c42ad936629e5ebba222c88f773bc68486cc93d1cda5909fcbfde01560ede6d",
         47,
@@ -53,3 +58,18 @@ def test_quick_trace_digest_is_pinned(experiment_id):
     digest, count = PINNED_DIGESTS[experiment_id]
     assert len(records) == count
     assert trace_digest(records) == digest
+
+
+#: ``abl_forecast``'s result rows (seed 0, quick), digested the same
+#: way.  Its trace holds only metrics, and under capture observability
+#: is on, which makes the NWS memory fold every reading as it arrives;
+#: the rows, taken with observability off, are where a battery that
+#: missed readings would show (every MAE ``inf``, ``last-value`` best).
+PINNED_ABL_FORECAST_ROWS = (
+    "0ce78870b8f69617244fffafb0cde57be3c5bf2d9970de10d6cb3cb4d43e681f"
+)
+
+
+def test_abl_forecast_rows_are_pinned():
+    result = EXPERIMENTS["abl_forecast"](True, 0)
+    assert trace_digest(result.rows) == PINNED_ABL_FORECAST_ROWS

@@ -1,5 +1,7 @@
 """Tests for NWS components: nameserver, memory, sensors."""
 
+from collections import Counter
+
 import pytest
 
 from repro.monitoring.nws import (
@@ -12,6 +14,7 @@ from repro.monitoring.nws import (
     NwsMemory,
     series_key,
 )
+from repro.testbed import build_testbed
 from repro.units import mbit_per_s
 
 from tests.conftest import build_two_host_grid
@@ -74,6 +77,40 @@ class TestNwsMemory:
         for t in range(20):
             memory.store(Measurement("cpu", "h", None, float(t), 0.5))
         assert len(memory.series(key)) == 5
+
+    def test_only_queried_series_fold_beyond_evictions(self):
+        testbed = build_testbed(seed=0, dynamic=True)
+        memory = testbed.nws_memory
+        # Small enough that every series overflows in the run below.
+        memory.max_samples_per_series = 8
+        stored = Counter()
+        store = memory.store
+
+        def counting_store(measurement):
+            stored[measurement.key] += 1
+            store(measurement)
+
+        memory.store = counting_store
+        queried = [
+            series_key("bandwidth", "alpha4", "alpha1"),
+            series_key("bandwidth", "lz02", "alpha1"),
+        ]
+        testbed.grid.run(until=150.0)
+        for key in queried:
+            memory.forecast(key)
+        testbed.grid.run(until=300.0)
+        for key in queried:
+            memory.forecast(key)
+
+        assert len(stored) > 20
+        assert min(stored.values()) > 8
+        # A queried series has folded every reading; any other series
+        # only the readings its bound evicted unseen.
+        expected = sum(
+            count if key in queried else count - 8
+            for key, count in stored.items()
+        )
+        assert memory.folded == expected
 
     def test_keys_listing(self):
         grid = build_two_host_grid()

@@ -108,7 +108,11 @@ class SimTimeWatchdog:
                 f"clock moved backwards {self._last_now!r} -> {now!r} "
                 f"processing {type(event).__name__}",
             )
-        head = sim.peek()
+        # The raw heap head, cancelled or not, is the earliest queued
+        # entry; reading it (unlike ``sim.peek()``, which discards
+        # cancelled heads) leaves the watched queue as it was.
+        queue = sim._queue
+        head = queue[0][0] if queue else math.inf
         if head < now:
             self._record(
                 "past-event-queued",

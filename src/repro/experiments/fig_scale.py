@@ -8,14 +8,14 @@ reports, per grid size:
   fetch time over a short selection trace (the paper's usage pattern,
   unchanged — only the grid underneath grows);
 * *simulator throughput* — events/sec over the whole build + warm-up +
-  trace, from the kernel's diagnostic counters (the same denominator
-  the repro-bench harness uses);
+  trace, from the kernel's diagnostic counters;
 * *memory* — peak RSS of the process after the run.
 
 Wall-clock and RSS columns vary machine to machine, so they live only
-in the result rows (and the BENCH trajectory via ``repro-bench
---suite scale``); everything the simulation itself produces is seeded
-and digest-stable, which is what the determinism gate checks.
+in the result rows; the simulator's speed at this scale is measured by
+``perfbench/``'s ``grid_scale_1000`` workload.  Everything the
+simulation itself produces is seeded and digest-stable, which is what
+the determinism gate checks.
 """
 
 from repro.core.baselines import CostModelSelector

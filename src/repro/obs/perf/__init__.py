@@ -11,15 +11,15 @@ records *what it cost to simulate*:
   off).
 * :func:`render_perf_report` — the human hot-component table behind
   ``repro-experiments --perf-report``.
-* :mod:`repro.obs.perf.bench` / :mod:`repro.obs.perf.compare` — the
-  ``repro-bench`` harness: run a pinned experiment suite, write
-  ``BENCH_<date>.json``, and gate regressions against a baseline.
+* :mod:`repro.obs.perf.bench` — :class:`SimUsageTracker`, peak RSS
+  and the environment fingerprint, shared by ``fig_scale`` and the
+  ``perfbench/`` benchmark.
 
-See ``docs/performance.md`` for the full story, including the
-"defend the trajectory" rule.
+See ``docs/performance.md`` for the full story, including how
+``perfbench/`` measures and gates a change.
 """
 
-from repro.obs.perf.clock import utc_datestamp, utc_timestamp, wall_clock
+from repro.obs.perf.clock import wall_clock
 from repro.obs.perf.components import (
     COMPONENT_OTHER,
     ComponentClassifier,
@@ -54,7 +54,5 @@ __all__ = [
     "component_of_path",
     "profile",
     "render_perf_report",
-    "utc_datestamp",
-    "utc_timestamp",
     "wall_clock",
 ]

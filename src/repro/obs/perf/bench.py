@@ -1,73 +1,24 @@
-"""The benchmark harness: a pinned suite, measured, written to disk.
+"""Process measurements shared by the simulator's benchmarks.
 
-``repro-bench`` runs a pinned set of experiments with fixed seeds and
-writes ``BENCH_<date>.json`` — events/sec, sim-seconds per wall-second,
-peak RSS and wall time per experiment, plus an environment fingerprint.
-The committed baseline under ``benchmarks/`` is the start of the perf
-trajectory every later PR must defend (see ``docs/performance.md``);
-:mod:`repro.obs.perf.compare` gates regressions against it.
-
-The harness measures the *unobserved, unprofiled* hot path: experiments
-run exactly as the exhibits do, and event/sim-time totals come from the
-kernel's always-on diagnostic counters via a build-hook tracker — no
-metrics registry, no profiler, no capture overhead in the timed region.
+:class:`SimUsageTracker` sums the kernel's always-on diagnostic counters
+over every simulator built inside a block (``fig_scale`` reports its
+events/sec from them); :func:`peak_rss_bytes` and
+:func:`environment_fingerprint` describe the process and host a
+measurement ran in, for ``fig_scale`` and ``perfbench/``.
 """
 
-import json
 import platform
 import subprocess
 import sys
 
-from repro.obs.perf.clock import utc_datestamp, utc_timestamp, wall_clock
 from repro.sim.kernel import add_build_hook, remove_build_hook
 from repro.units import KiB
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "FRONTDOOR_SUITE",
-    "PINNED_SUITE",
-    "SCALE_SUITE",
-    "SUITES",
     "SimUsageTracker",
-    "default_bench_filename",
     "environment_fingerprint",
-    "load_bench",
     "peak_rss_bytes",
-    "run_bench",
-    "validate_bench",
-    "write_bench",
 ]
-
-#: Schema identifier stamped into (and required of) every BENCH file.
-BENCH_SCHEMA = "repro-bench/1"
-
-#: The pinned suite: one protocol exhibit, one multi-size sweep, and the
-#: two service-heavy exhibits (chaos and integrity) — together they
-#: exercise every hot subsystem the profiler attributes.
-PINNED_SUITE = ("table1", "fig3", "fig_chaos", "fig_integrity")
-
-#: The scale suite: the grid-size sweep (10 -> 1000 sites full, smaller
-#: in --quick), tracked in its own BENCH trajectory so the pinned
-#: baseline's coverage gate is untouched.
-SCALE_SUITE = ("fig_scale",)
-
-#: The frontdoor suite: the control-plane overload exhibit (open-loop
-#: flash crowd through admission/queue/breakers on a 100-site grid),
-#: tracked in its own BENCH trajectory like the scale suite.
-FRONTDOOR_SUITE = ("fig_frontdoor",)
-
-#: Named suites the CLI's ``--suite`` selects from.
-SUITES = {
-    "pinned": PINNED_SUITE,
-    "scale": SCALE_SUITE,
-    "frontdoor": FRONTDOOR_SUITE,
-}
-
-#: Per-experiment metrics every BENCH entry must carry.
-EXPERIMENT_METRICS = (
-    "wall_s", "events", "sim_s", "events_per_s", "sim_s_per_wall_s",
-    "peak_rss_bytes",
-)
 
 
 class SimUsageTracker:
@@ -143,104 +94,3 @@ def environment_fingerprint():
         "cpu_count": os.cpu_count(),
         "git_sha": _git_sha(),
     }
-
-
-def default_bench_filename():
-    """``BENCH_<utc-date>.json`` — the conventional output name."""
-    return f"BENCH_{utc_datestamp()}.json"
-
-
-def run_bench(experiments=PINNED_SUITE, quick=False, seed=0,
-              progress=None):
-    """Run the suite and return the BENCH document as a dict.
-
-    ``progress`` (optional) is called with a one-line message before
-    each experiment — the CLI uses it so long runs are not silent.
-    """
-    from repro.experiments.runner import run_experiment
-
-    results = {}
-    for experiment_id in experiments:
-        if progress is not None:
-            progress(f"benchmarking {experiment_id} "
-                     f"(quick={quick}, seed={seed}) ...")
-        tracker = SimUsageTracker()
-        begin = wall_clock()
-        with tracker:
-            run_experiment(experiment_id, quick=quick, seed=seed)
-        wall_s = wall_clock() - begin
-        events = tracker.events_processed
-        sim_s = tracker.sim_seconds
-        results[experiment_id] = {
-            "wall_s": wall_s,
-            "events": events,
-            "sim_s": sim_s,
-            "events_per_s": events / wall_s if wall_s > 0 else 0.0,
-            "sim_s_per_wall_s": sim_s / wall_s if wall_s > 0 else 0.0,
-            "peak_rss_bytes": peak_rss_bytes(),
-            "sims_built": len(tracker.sims),
-        }
-
-    total_wall = sum(r["wall_s"] for r in results.values())
-    total_events = sum(r["events"] for r in results.values())
-    total_sim = sum(r["sim_s"] for r in results.values())
-    return {
-        "schema": BENCH_SCHEMA,
-        "created": utc_timestamp(),
-        "quick": bool(quick),
-        "seed": int(seed),
-        "suite": list(experiments),
-        "environment": environment_fingerprint(),
-        "experiments": results,
-        "totals": {
-            "wall_s": total_wall,
-            "events": total_events,
-            "sim_s": total_sim,
-            "events_per_s": (
-                total_events / total_wall if total_wall > 0 else 0.0
-            ),
-            "sim_s_per_wall_s": (
-                total_sim / total_wall if total_wall > 0 else 0.0
-            ),
-            "peak_rss_bytes": peak_rss_bytes(),
-        },
-    }
-
-
-def validate_bench(document, source="benchmark"):
-    """Raise ``ValueError`` unless ``document`` is a valid BENCH dict."""
-    if not isinstance(document, dict):
-        raise ValueError(f"{source}: not a JSON object")
-    if document.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"{source}: schema {document.get('schema')!r}, "
-            f"expected {BENCH_SCHEMA!r}"
-        )
-    experiments = document.get("experiments")
-    if not isinstance(experiments, dict) or not experiments:
-        raise ValueError(f"{source}: no experiments recorded")
-    for experiment_id, entry in experiments.items():
-        for metric in EXPERIMENT_METRICS:
-            value = entry.get(metric)
-            if not isinstance(value, (int, float)):
-                raise ValueError(
-                    f"{source}: {experiment_id}.{metric} missing or "
-                    f"non-numeric"
-                )
-    return document
-
-
-def write_bench(document, path):
-    """Write a BENCH document as stable, human-diffable JSON."""
-    validate_bench(document, source=str(path))
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_bench(path):
-    """Load and validate a BENCH file."""
-    with open(path) as handle:
-        document = json.load(handle)
-    return validate_bench(document, source=str(path))

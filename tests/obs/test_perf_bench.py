@@ -1,31 +1,13 @@
-"""Tests for the repro-bench harness: BENCH files and the CLI."""
-
-import json
-import re
+"""Tests for the process measurements in ``repro.obs.perf.bench``."""
 
 import pytest
 
 from repro.obs.perf.bench import (
-    BENCH_SCHEMA,
-    EXPERIMENT_METRICS,
-    PINNED_SUITE,
     SimUsageTracker,
-    default_bench_filename,
     environment_fingerprint,
-    load_bench,
     peak_rss_bytes,
-    run_bench,
-    validate_bench,
-    write_bench,
 )
-from repro.obs.perf.cli import main
 from repro.sim import Simulator
-
-
-@pytest.fixture(scope="module")
-def bench_document():
-    """One real (tiny) benchmark run shared by the read-only tests."""
-    return run_bench(experiments=("table1",), quick=True, seed=0)
 
 
 class TestSimUsageTracker:
@@ -51,132 +33,14 @@ class TestSimUsageTracker:
         assert tracker.sims == []
 
 
-class TestRunBench:
-    def test_document_shape(self, bench_document):
-        document = validate_bench(bench_document)
-        assert document["schema"] == BENCH_SCHEMA
-        assert document["suite"] == ["table1"]
-        assert document["quick"] is True
-        entry = document["experiments"]["table1"]
-        for metric in EXPERIMENT_METRICS:
-            assert metric in entry
-        assert entry["events"] > 0
-        assert entry["sim_s"] > 0
-        assert entry["events_per_s"] > 0
-        assert entry["sims_built"] >= 1
-        assert entry["peak_rss_bytes"] > 0
-
-    def test_totals_sum_experiments(self, bench_document):
-        totals = bench_document["totals"]
-        experiments = bench_document["experiments"].values()
-        assert totals["events"] == sum(e["events"] for e in experiments)
-        assert totals["wall_s"] == pytest.approx(
-            sum(e["wall_s"] for e in experiments)
-        )
-
-    def test_environment_fingerprint(self, bench_document):
-        environment = bench_document["environment"]
+class TestProcessFingerprint:
+    def test_environment_fingerprint(self):
+        environment = environment_fingerprint()
         assert environment["python"]
         assert environment["platform"]
         assert environment["cpu_count"] >= 1
         # git_sha may be None outside a checkout, but the key exists.
-        assert set(environment) == set(environment_fingerprint())
         assert "git_sha" in environment
-
-    def test_pinned_suite_covers_required_exhibits(self):
-        assert set(PINNED_SUITE) >= {
-            "table1", "fig3", "fig_chaos", "fig_integrity"
-        }
-
-    def test_progress_callback_invoked(self):
-        messages = []
-        run_bench(
-            experiments=("fig3",), quick=True, seed=0,
-            progress=messages.append,
-        )
-        assert messages and "fig3" in messages[0]
-
-
-class TestBenchIO:
-    def test_write_load_roundtrip(self, bench_document, tmp_path):
-        path = tmp_path / "BENCH_test.json"
-        write_bench(bench_document, path)
-        assert load_bench(path) == bench_document
-        # Stable, human-diffable output: sorted keys, trailing newline.
-        text = path.read_text()
-        assert text.endswith("\n")
-        assert json.loads(text) == bench_document
-
-    def test_default_filename_is_dated(self):
-        assert re.fullmatch(
-            r"BENCH_\d{4}-\d{2}-\d{2}\.json", default_bench_filename()
-        )
-
-    def test_validate_rejects_wrong_schema(self, bench_document):
-        broken = dict(bench_document, schema="something-else/9")
-        with pytest.raises(ValueError, match="schema"):
-            validate_bench(broken)
-
-    def test_validate_rejects_missing_metric(self, bench_document):
-        broken = json.loads(json.dumps(bench_document))
-        del broken["experiments"]["table1"]["events_per_s"]
-        with pytest.raises(ValueError, match="events_per_s"):
-            validate_bench(broken)
-
-    def test_validate_rejects_empty(self):
-        with pytest.raises(ValueError):
-            validate_bench({"schema": BENCH_SCHEMA, "experiments": {}})
-        with pytest.raises(ValueError):
-            validate_bench([1, 2, 3])
 
     def test_peak_rss_positive(self):
         assert peak_rss_bytes() > 0
-
-
-class TestBenchCli:
-    def test_run_writes_bench_file(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_cli.json"
-        code = main(["fig3", "--quick", "--out", str(out)])
-        assert code == 0
-        document = load_bench(out)
-        assert document["suite"] == ["fig3"]
-        stdout = capsys.readouterr().out
-        assert "fig3" in stdout
-        assert "TOTAL" in stdout
-
-    def test_compare_identical_ok(self, tmp_path, bench_document, capsys):
-        path = tmp_path / "BENCH_same.json"
-        write_bench(bench_document, path)
-        code = main(["--compare", str(path), str(path)])
-        assert code == 0
-        assert "RESULT: ok" in capsys.readouterr().out
-
-    def test_compare_injected_regression_fails(
-        self, tmp_path, bench_document, capsys
-    ):
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        write_bench(bench_document, old)
-        slowed = json.loads(json.dumps(bench_document))
-        entry = slowed["experiments"]["table1"]
-        entry["wall_s"] *= 10.0
-        entry["events_per_s"] /= 10.0
-        entry["sim_s_per_wall_s"] /= 10.0
-        write_bench(slowed, new)
-        code = main(["--compare", str(old), str(new), "--tolerance", "3.0"])
-        assert code == 1
-        stdout = capsys.readouterr().out
-        assert "regression" in stdout
-        assert "wall_s" in stdout
-
-    def test_compare_rejects_invalid_file(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        good = tmp_path / "good.json"
-        good.write_text("{}")
-        with pytest.raises(SystemExit):
-            main(["--compare", str(bad), str(good)])
-
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["no_such_experiment"])

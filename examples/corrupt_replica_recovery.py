@@ -21,7 +21,6 @@ Run:  python examples/corrupt_replica_recovery.py
 
 from repro.gridftp import GridFtpClient, ReliableFileTransfer
 from repro.integrity import ReplicaHealthRegistry, ReplicaRepairService
-from repro.replica import ReplicaManager
 from repro.testbed import build_testbed
 from repro.units import MiB, megabytes
 
@@ -55,12 +54,12 @@ def main():
         grid, failure_threshold=1, quarantine_seconds=1800.0
     )
     testbed.selection_server.health = health
-    manager = ReplicaManager(grid, testbed.catalog, CLIENT, health=health)
+    client = GridFtpClient(grid, CLIENT)
     repair = ReplicaRepairService(
-        grid, testbed.catalog, manager, health, period=30.0
+        grid, testbed.catalog, client, health, period=30.0
     )
     rft = ReliableFileTransfer(
-        GridFtpClient(grid, CLIENT),
+        client,
         marker_interval_bytes=16 * MiB, retry_backoff=2.0,
     )
 

@@ -15,7 +15,6 @@ GridFTP fetch of the winner.
 used by the ablation benchmarks.
 """
 
-from repro.core.application import AccessResult, DataGridApplication
 from repro.core.baselines import (
     BandwidthOnlySelector,
     CostModelSelector,
@@ -35,11 +34,9 @@ from repro.core.server import (
 from repro.core.weights import SelectionWeights
 
 __all__ = [
-    "AccessResult",
     "BandwidthOnlySelector",
     "CostModel",
     "CostModelSelector",
-    "DataGridApplication",
     "DegradationPolicy",
     "LastKnownGood",
     "LeastLoadedSelector",

@@ -85,11 +85,9 @@ def _run_cell(campaign_name, verify, failover, rounds, gap,
         grid, failure_threshold=2, quarantine_seconds=0.5 * horizon
     )
     testbed.selection_server.health = health
-    from repro.replica.manager import ReplicaManager
-
-    manager = ReplicaManager(grid, testbed.catalog, CLIENT, health=health)
     repair = ReplicaRepairService(
-        grid, testbed.catalog, manager, health, period=repair_period
+        grid, testbed.catalog, GridFtpClient(grid, CLIENT), health,
+        period=repair_period,
     ).start()
 
     engine = None

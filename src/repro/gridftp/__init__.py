@@ -13,9 +13,6 @@ need; the ones the paper exercises are all modelled here:
 * **third-party transfer** (client steers data between two servers);
 * **striped transfer** (future-work feature: stripes pulled from several
   source hosts at once) — :mod:`repro.gridftp.striped`.
-
-High-level use mirrors ``globus-url-copy`` — see
-:func:`repro.gridftp.url_copy.globus_url_copy`.
 """
 
 from repro.gridftp.coallocation import (
@@ -50,7 +47,6 @@ from repro.gridftp.reliable import (
     TooManyAttemptsError,
 )
 from repro.gridftp.striped import striped_get
-from repro.gridftp.url_copy import GridUrl, globus_url_copy
 
 __all__ = [
     "AttemptTimeout",
@@ -69,7 +65,6 @@ __all__ = [
     "GSIConfig",
     "GridFtpClient",
     "GridFtpServer",
-    "GridUrl",
     "ReliableFileTransfer",
     "ReliableTransferResult",
     "RemoteFileNotFoundError",
@@ -80,6 +75,5 @@ __all__ = [
     "TransferFault",
     "TransferFaultInjector",
     "TransferRecord",
-    "globus_url_copy",
     "striped_get",
 ]

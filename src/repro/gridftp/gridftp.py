@@ -177,77 +177,6 @@ class GridFtpClient(FtpClient):
             verified_bytes=verified, good_spans=good_spans,
         )
 
-    def put(self, server_name, local_name, remote_name=None,
-            parallelism=None):
-        """Upload a local file to a server; returns a TransferRecord."""
-        remote_name = remote_name or local_name
-        server = self.grid.service(server_name, self.server_service)
-        if local_name not in self.host.filesystem:
-            from repro.gridftp.errors import RemoteFileNotFoundError
-
-            raise RemoteFileNotFoundError(
-                f"{self.host_name}: no such local file {local_name!r}"
-            )
-        payload = self.host.filesystem.size_of(local_name)
-        mode, streams = self._plan(parallelism)
-        sim = self.grid.sim
-        started_at = sim.now
-        telemetry = TransferTelemetry(
-            self.grid, self.protocol, self.host_name, server_name,
-            remote_name, direction="put",
-        )
-
-        with server.connections.request() as slot:
-            yield slot
-            channel = yield from ControlChannel.open(
-                self.grid, self.host_name, server_name
-            )
-            telemetry.phase("connect")
-            auth_seconds = yield from gsi_handshake(
-                self.grid, self.host_name, server_name, self.gsi
-            )
-            telemetry.phase("auth")
-            control_start = sim.now
-            yield from channel.exchange(server.login_commands)
-            yield from channel.exchange(server.retrieve_commands)
-            control_seconds = sim.now - control_start
-            telemetry.phase("control")
-
-            result = yield from run_data_transfer(
-                self.grid, self.host_name, server_name, payload,
-                mode=mode, streams=streams,
-                label=f"gridftp:{remote_name}",
-            )
-            telemetry.split_phase("startup", result.startup_seconds, "data")
-            yield from channel.close()
-
-        telemetry.phase("teardown")
-        fs = server.host.filesystem
-        if remote_name in fs:
-            fs.delete(remote_name)
-        uploaded = fs.create(remote_name, payload)
-        if local_name in self.host.filesystem:
-            uploaded.copy_state_from(self.host.filesystem.stored(local_name))
-        record = TransferRecord(
-            protocol=self.protocol,
-            source=self.host_name,
-            destination=server_name,
-            filename=remote_name,
-            payload_bytes=payload,
-            wire_bytes=result.wire_bytes,
-            streams=streams,
-            mode_name=mode.name,
-            started_at=started_at,
-            auth_seconds=auth_seconds,
-            control_seconds=control_seconds,
-            startup_seconds=result.startup_seconds,
-            data_seconds=result.data_seconds,
-            finished_at=sim.now,
-        )
-        telemetry.finish(record)
-        server.served.append(record)
-        return record
-
     def third_party(self, src_server_name, dst_server_name, remote_name,
                     dst_name=None, parallelism=None):
         """Server-to-server transfer steered by this client.

@@ -420,12 +420,6 @@ class ReliableFileTransfer:
                         ) from error
                     backoff_waited += delay
                     obs.metrics.counter("rft.retries").inc()
-                    logger.warning(
-                        "no live replica of %r; retrying in %.1fs "
-                        "(%s hint)", binding.filename, delay,
-                        "retry_after"
-                        if error.retry_after is not None else "backoff",
-                    )
                     yield sim.timeout(delay)
                     continue
                 server_name, physical_name, version = current
@@ -536,19 +530,9 @@ class ReliableFileTransfer:
                     chunk_bytes=chunk, fault_number=faults,
                     fault_kind=fault_kind,
                 )
-                logger.warning(
-                    "%s fetching %r chunk at offset %.0f from %s "
-                    "(fault %d of %d tolerated)",
-                    fault_kind, binding.filename, offset, server_name,
-                    faults, self.max_attempts,
-                )
                 if faults >= self.max_attempts:
                     span.set(error="too-many-attempts", faults=faults)
                     span.finish()
-                    logger.error(
-                        "%r: gave up after %d failed attempts at "
-                        "offset %.0f", binding.filename, faults, offset,
-                    )
                     raise TooManyAttemptsError(
                         f"{binding.filename!r}: gave up after "
                         f"{faults} failed attempts at offset "
@@ -563,11 +547,6 @@ class ReliableFileTransfer:
                 if exhausted is not None:
                     span.set(error="retry-budget", faults=faults)
                     span.finish()
-                    logger.error(
-                        "%r: retry budget (%s) exhausted after %d "
-                        "faults, %.1fs waited", binding.filename,
-                        exhausted, faults, backoff_waited,
-                    )
                     raise RetryBudgetExhaustedError(
                         f"{binding.filename!r}: retry budget "
                         f"({exhausted}) exhausted after {faults} faults "
@@ -576,10 +555,6 @@ class ReliableFileTransfer:
                     ) from None
                 backoff_waited += delay
                 obs.metrics.counter("rft.retries").inc()
-                logger.warning(
-                    "retrying %r at offset %.0f after %.1fs backoff",
-                    binding.filename, offset, delay,
-                )
                 yield sim.timeout(delay)
                 continue
             chunk_span.finish()

@@ -53,8 +53,7 @@ class CPU:
         self.transfer_cost_per_byte = float(transfer_cost_per_byte)
         self.min_transfer_cores = float(min_transfer_cores)
         self._background_busy = 0.0
-        self._gram_busy = 0.0
-        #: Piecewise-constant history of background busy cores (for sar).
+        #: Piecewise-constant history of background busy cores.
         self.background_series = StepSeries(sim.now, 0.0)
         self.channel = ResourceChannel(
             f"cpu/{name}", self._transfer_capacity
@@ -79,17 +78,6 @@ class CPU:
         self._background_busy = min(float(cores_busy), float(self.cores))
         self.background_series.append(self.sim.now, self._background_busy)
 
-    @property
-    def gram_busy_cores(self):
-        """Cores occupied by GRAM-managed jobs."""
-        return self._gram_busy
-
-    def set_gram_busy(self, cores_busy):
-        """Set GRAM job demand in cores (driven by the JobManager)."""
-        if cores_busy < 0:
-            raise ValueError("cores_busy must be non-negative")
-        self._gram_busy = min(float(cores_busy), float(self.cores))
-
     # -- observables ---------------------------------------------------------
 
     @property
@@ -99,11 +87,8 @@ class CPU:
 
     @property
     def busy_fraction(self):
-        """Fraction of CPU busy (background + jobs + transfers)."""
-        busy = (
-            self._background_busy + self._gram_busy
-            + self.transfer_busy_cores
-        )
+        """Fraction of CPU busy (background + transfers)."""
+        busy = self._background_busy + self.transfer_busy_cores
         return min(1.0, busy / self.cores)
 
     @property
@@ -117,6 +102,6 @@ class CPU:
         """Bytes/s of transfer work the CPU can currently sustain."""
         free_cores = max(
             self.min_transfer_cores,
-            self.cores - self._background_busy - self._gram_busy,
+            self.cores - self._background_busy,
         )
         return free_cores / self.transfer_cost_per_byte

@@ -33,7 +33,7 @@ class Disk:
         self.capacity_bytes = float(capacity_bytes)
         self.min_transfer_fraction = float(min_transfer_fraction)
         self._background_util = 0.0
-        #: Piecewise-constant history of background utilisation (for iostat).
+        #: Piecewise-constant history of background utilisation.
         self.background_series = StepSeries(sim.now, 0.0)
         self.channel = ResourceChannel(
             f"disk/{name}", self._transfer_capacity

@@ -4,7 +4,7 @@ Vazhkudai, Tuecke and Foster note that replica selection must react to
 storage-system *state*, not just bandwidth; this registry is that
 state.  Every manifest verification failure against a replica is
 recorded here, and a replica that keeps failing is *quarantined*: the
-selection server and the replication policy skip it, the repair service
+selection server skips it, the repair service
 re-replicates it from a verified source, and only a clean audit
 re-admits it.
 

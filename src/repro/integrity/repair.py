@@ -31,9 +31,9 @@ class ReplicaRepairService:
     catalog:
         The :class:`~repro.replica.catalog.ReplicaCatalog` (for
         manifests and locations).
-    manager:
-        A :class:`~repro.replica.manager.ReplicaManager`; its GridFTP
-        client steers the third-party repair transfers.
+    client:
+        The :class:`~repro.gridftp.gridftp.GridFtpClient` that steers
+        the third-party repair transfers.
     health:
         The :class:`~repro.integrity.health.ReplicaHealthRegistry`.
     period:
@@ -42,13 +42,13 @@ class ReplicaRepairService:
         Parallel streams for repair transfers (None = stream mode).
     """
 
-    def __init__(self, grid, catalog, manager, health, period=60.0,
+    def __init__(self, grid, catalog, client, health, period=60.0,
                  parallelism=None):
         if period <= 0:
             raise ValueError("period must be positive")
         self.grid = grid
         self.catalog = catalog
-        self.manager = manager
+        self.client = client
         self.health = health
         self.period = float(period)
         self.parallelism = parallelism
@@ -144,7 +144,7 @@ class ReplicaRepairService:
              if e.host_name == bad_host), None,
         )
         if entry is None:
-            # The replica was deleted while quarantined; nothing to heal.
+            # No catalog entry at this host; nothing to heal.
             self.health.readmit(logical_name, bad_host)
             return False
         target = self.grid.hosts.get(bad_host)
@@ -168,7 +168,7 @@ class ReplicaRepairService:
         # (and quarantined) while the repair is in flight.
         fs = target.filesystem
         try:
-            yield from self.manager.client.third_party(
+            yield from self.client.third_party(
                 source.host_name, bad_host, source.physical_name,
                 dst_name=entry.physical_name,
                 parallelism=self.parallelism,

@@ -9,8 +9,8 @@ paper's measurement stack one-to-one:
 * :mod:`repro.monitoring.mds` — a Globus MDS-style information service
   (GRIS per host, GIIS aggregation, TTL caching) supplying CPU state
   (``CPU_P``);
-* :mod:`repro.monitoring.sysstat` — sar / iostat / mpstat equivalents
-  reading the simulated kernel counters, supplying I/O state (``IO_P``).
+* :mod:`repro.monitoring.sysstat` — an iostat equivalent reading the
+  simulated disk, supplying I/O state (``IO_P``).
 
 :class:`repro.monitoring.information.InformationService` is the facade
 the paper calls "the information server": one query point for all three

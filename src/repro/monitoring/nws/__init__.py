@@ -14,7 +14,6 @@ the historically most accurate one chosen per series — NWS's signature
 "dynamic predictor selection" (:mod:`repro.monitoring.nws.forecasting`).
 """
 
-from repro.monitoring.nws.clique import Clique
 from repro.monitoring.nws.forecasting import (
     ExponentialSmoothing,
     ForecasterBattery,
@@ -36,7 +35,6 @@ from repro.monitoring.nws.series import Measurement, series_key
 
 __all__ = [
     "BandwidthSensor",
-    "Clique",
     "CpuSensor",
     "ExponentialSmoothing",
     "ForecasterBattery",

@@ -33,8 +33,7 @@ class Sensor:
     resource = "abstract"
 
     def __init__(self, sim, memory, source, target=None, period=10.0,
-                 noise=0.02, stream=None, nameserver=None,
-                 autostart=True, phase=None):
+                 noise=0.02, stream=None, nameserver=None, phase=None):
         if period <= 0:
             raise ValueError("period must be positive")
         if noise < 0:
@@ -66,9 +65,6 @@ class Sensor:
             nameserver.register("sensor", self.sensor_name, self)
         #: Fixed tick phase; None draws a random one (solo driving).
         self.phase = phase
-        #: True while this sensor ticks on its own timer; external
-        #: schedulers (Clique) require it False.
-        self.driven = False
         #: Raised by stop(); the scheduler checks it before ticking.
         self._driver_stopped = False
         #: Reusable bound callback for solo timers (one allocation for
@@ -77,9 +73,7 @@ class Sensor:
         #: Measurement-noise clamp bounds (fixed once noise is set).
         self._noise_low = 1.0 - 4 * self.noise
         self._noise_high = 1.0 + 4 * self.noise
-        if autostart:
-            self.driven = True
-            scheduler_for(sim).attach(self, phase)
+        scheduler_for(sim).attach(self, phase)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.sensor_name}>"
@@ -171,13 +165,11 @@ class BandwidthSensor(Sensor):
     resource = "bandwidth"
 
     def __init__(self, sim, memory, grid, source, target, period=10.0,
-                 noise=0.05, stream=None, nameserver=None,
-                 autostart=True, phase=None):
+                 noise=0.05, stream=None, nameserver=None, phase=None):
         self.grid = grid
         super().__init__(
             sim, memory, source, target, period=period, noise=noise,
-            stream=stream, nameserver=nameserver, autostart=autostart,
-            phase=phase,
+            stream=stream, nameserver=nameserver, phase=phase,
         )
 
     def read(self):

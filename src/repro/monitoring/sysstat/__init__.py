@@ -1,18 +1,10 @@
-"""sysstat utilities: sar, iostat and mpstat over simulated hosts.
+"""sysstat utilities over simulated hosts.
 
-The paper measures I/O state with the Linux sysstat package; these are
-the simulated equivalents, reading the host models' "kernel counters"
-(background-load step series plus live transfer allocations).
+The paper measures I/O state with iostat from the Linux sysstat
+package; :class:`IoStat` is the simulated equivalent, reading the host
+disk model's idle fraction.
 """
 
-from repro.monitoring.sysstat.iostat import IoStat, IoStatReport
-from repro.monitoring.sysstat.mpstat import MpStat, MpStatReport
-from repro.monitoring.sysstat.sar import Sar
+from repro.monitoring.sysstat.iostat import IoStat
 
-__all__ = [
-    "IoStat",
-    "IoStatReport",
-    "MpStat",
-    "MpStatReport",
-    "Sar",
-]
+__all__ = ["IoStat"]

@@ -1,31 +1,10 @@
 """iostat: per-device I/O statistics.
 
-Reports the disk's utilisation (``%util`` in real iostat output), idle
-percentage (the ``IO_P`` input of the paper's cost model), and transfer
-throughput since the previous report — iostat's interval semantics.
+Reports the disk's idle percentage, the ``IO_P`` input of the paper's
+cost model.
 """
 
-__all__ = ["IoStat", "IoStatReport"]
-
-
-class IoStatReport:
-    """One iostat sample for one device."""
-
-    def __init__(self, device, time, utilisation, idle_fraction,
-                 bytes_per_second, interval):
-        self.device = device
-        self.time = float(time)
-        self.utilisation = float(utilisation)
-        self.idle_fraction = float(idle_fraction)
-        self.bytes_per_second = float(bytes_per_second)
-        self.interval = float(interval)
-
-    def __repr__(self):
-        return (
-            f"<IoStatReport {self.device} %util="
-            f"{self.utilisation * 100:.1f} "
-            f"{self.bytes_per_second / 1e6:.2f}MB/s>"
-        )
+__all__ = ["IoStat"]
 
 
 class IoStat:
@@ -33,53 +12,9 @@ class IoStat:
 
     def __init__(self, host):
         self.host = host
-        self._last_report_time = host.sim.now
-        self._last_bytes = host.disk.channel.bytes_carried
 
     def __repr__(self):
         return f"<IoStat on {self.host.name}>"
-
-    def report(self, lookback=None):
-        """Take a sample.
-
-        ``lookback`` controls the averaging window for background
-        utilisation (seconds); by default the window since the previous
-        ``report`` call, matching ``iostat <interval>`` output lines.
-        """
-        sim = self.host.sim
-        disk = self.host.disk
-        now = sim.now
-        window_start = (
-            now - lookback if lookback is not None else self._last_report_time
-        )
-        window_start = min(window_start, now)
-        if now > window_start:
-            background = disk.background_series.mean(window_start, now)
-        else:
-            background = disk.background_utilisation
-
-        bytes_now = disk.channel.bytes_carried
-        elapsed = now - self._last_report_time
-        if elapsed > 0:
-            rate = (bytes_now - self._last_bytes) / elapsed
-        else:
-            rate = disk.channel.allocated
-        transfer_util = min(
-            1.0, rate / disk.bandwidth
-        ) if elapsed > 0 else disk.transfer_utilisation
-
-        utilisation = min(1.0, background + transfer_util)
-        report = IoStatReport(
-            device=f"{self.host.name}:sda",
-            time=now,
-            utilisation=utilisation,
-            idle_fraction=1.0 - utilisation,
-            bytes_per_second=rate,
-            interval=elapsed,
-        )
-        self._last_report_time = now
-        self._last_bytes = bytes_now
-        return report
 
     def instantaneous_idle(self):
         """Point-in-time I/O idle fraction (what the cost model samples)."""

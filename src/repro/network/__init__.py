@@ -16,18 +16,12 @@ from repro.network.link import Link
 from repro.network.routing import NoRouteError, Router
 from repro.network.tcp import TCPModel, TCPParameters
 from repro.network.topology import Node, Topology
-from repro.network.traffic import (
-    CrossTrafficProcess,
-    FlowTrafficGenerator,
-    LinkFlapProcess,
-)
+from repro.network.traffic import CrossTrafficProcess
 
 __all__ = [
     "CrossTrafficProcess",
     "Flow",
     "FlowNetwork",
-    "FlowTrafficGenerator",
-    "LinkFlapProcess",
     "Link",
     "NoRouteError",
     "Node",

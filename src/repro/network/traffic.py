@@ -1,20 +1,15 @@
 """Background traffic: the dynamic environment the monitors observe.
 
-Two mechanisms, matching the paper's emphasis that "network bandwidth is
-an unstable and dynamic factor":
-
-* :class:`CrossTrafficProcess` — a Markov-modulated process that varies a
-  link's background utilisation between discrete levels at exponential
-  holding times.  This models campus/Internet traffic that is not
-  simulated flow-by-flow.
-* :class:`FlowTrafficGenerator` — injects real simulated flows between
-  random host pairs (Poisson arrivals, Pareto sizes), so foreground
-  transfers genuinely contend with other grid users.
+The paper stresses that "network bandwidth is an unstable and dynamic
+factor".  :class:`CrossTrafficProcess` models that: a Markov-modulated
+process varies a link's background utilisation between discrete levels
+at exponential holding times.  This stands for campus/Internet traffic
+that is not simulated flow-by-flow.
 """
 
 from repro.sim import Interrupt
 
-__all__ = ["CrossTrafficProcess", "FlowTrafficGenerator", "LinkFlapProcess"]
+__all__ = ["CrossTrafficProcess"]
 
 
 class CrossTrafficProcess:
@@ -77,109 +72,5 @@ class CrossTrafficProcess:
 
     def stop(self):
         """Stop modulating (leaves the last level in place)."""
-        if self.process.is_alive:
-            self.process.interrupt(cause="stopped")
-
-
-class LinkFlapProcess:
-    """Intermittent link failure: alternating up and down periods.
-
-    While the link is down, flows over it stall (rate 0) and resume
-    when it comes back — the failure mode 2005 WAN operators knew well,
-    and the one reliable transfer (restart markers) exists for.
-    """
-
-    def __init__(self, sim, network, link, mean_up_time, mean_down_time,
-                 stream=None):
-        if mean_up_time <= 0 or mean_down_time <= 0:
-            raise ValueError("mean up/down times must be positive")
-        self.sim = sim
-        self.network = network
-        self.link = link
-        self.mean_up_time = float(mean_up_time)
-        self.mean_down_time = float(mean_down_time)
-        self.stream = stream or sim.streams.get(
-            f"linkflap/{link.src}->{link.dst}"
-        )
-        #: (time, is_up) transition log.
-        self.history = []
-        self.outages = 0
-        self.process = sim.process(self._run())
-
-    def _run(self):
-        try:
-            while True:
-                yield self.sim.timeout(
-                    self.stream.expovariate(1.0 / self.mean_up_time)
-                )
-                self.link.set_down()
-                self.outages += 1
-                self.history.append((self.sim.now, False))
-                self.network.rebalance()
-                yield self.sim.timeout(
-                    self.stream.expovariate(1.0 / self.mean_down_time)
-                )
-                self.link.set_up()
-                self.history.append((self.sim.now, True))
-                self.network.rebalance()
-        except Interrupt:
-            if not self.link.is_up:
-                self.link.set_up()
-                self.network.rebalance()
-            return
-
-    def stop(self):
-        """Stop flapping (restores the link if currently down)."""
-        if self.process.is_alive:
-            self.process.interrupt(cause="stopped")
-
-
-class FlowTrafficGenerator:
-    """Poisson arrivals of Pareto-sized flows between random host pairs."""
-
-    def __init__(self, sim, network, hosts, arrival_rate,
-                 mean_size, pareto_alpha=1.5, stream=None, cap=None):
-        if len(hosts) < 2:
-            raise ValueError("need at least two hosts")
-        if arrival_rate <= 0:
-            raise ValueError("arrival_rate must be positive")
-        if mean_size <= 0:
-            raise ValueError("mean_size must be positive")
-        if pareto_alpha <= 1.0:
-            raise ValueError("pareto_alpha must exceed 1 for a finite mean")
-        self.sim = sim
-        self.network = network
-        self.hosts = list(hosts)
-        self.arrival_rate = float(arrival_rate)
-        self.pareto_alpha = float(pareto_alpha)
-        # Pareto mean = alpha*scale/(alpha-1)  =>  solve for scale.
-        self.scale = mean_size * (pareto_alpha - 1.0) / pareto_alpha
-        self.cap = cap
-        self.stream = stream or sim.streams.get("traffic/background-flows")
-        #: Flows injected so far.
-        self.spawned = 0
-        self.process = sim.process(self._run())
-
-    def _run(self):
-        try:
-            while True:
-                yield self.sim.timeout(
-                    self.stream.expovariate(self.arrival_rate)
-                )
-                src = self.stream.choice(self.hosts)
-                dst = self.stream.choice(
-                    [h for h in self.hosts if h != src]
-                )
-                size = self.stream.pareto(self.pareto_alpha, self.scale)
-                cap = self.cap if self.cap is not None else float("inf")
-                self.network.start_flow(
-                    src, dst, size, cap=cap, label="background"
-                )
-                self.spawned += 1
-        except Interrupt:
-            return
-
-    def stop(self):
-        """Stop injecting new flows (in-flight ones finish naturally)."""
         if self.process.is_alive:
             self.process.interrupt(cause="stopped")

@@ -1,10 +1,8 @@
-"""Replica management: logical files, the catalog, and the manager.
+"""Replica management: logical files and the catalog.
 
 The Data Grid's replica layer (Allcock et al.): a *logical file* is a
 name for content; *physical replicas* of it live on concrete hosts.  The
-:class:`ReplicaCatalog` records the logical→physical mapping, and the
-:class:`ReplicaManager` creates/registers/deletes replicas, moving data
-with GridFTP.
+:class:`ReplicaCatalog` records the logical→physical mapping.
 """
 
 from repro.replica.catalog import (
@@ -13,14 +11,10 @@ from repro.replica.catalog import (
     ReplicaEntry,
 )
 from repro.replica.logical_file import LogicalFile
-from repro.replica.manager import ReplicaManager
-from repro.replica.policy import AccessCountReplicationPolicy
 
 __all__ = [
-    "AccessCountReplicationPolicy",
     "LogicalFile",
     "LogicalFileNotFoundError",
     "ReplicaCatalog",
     "ReplicaEntry",
-    "ReplicaManager",
 ]

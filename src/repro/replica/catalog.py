@@ -111,19 +111,6 @@ class ReplicaCatalog:
         self._replicas[logical_name].append(entry)
         return entry
 
-    def unregister_replica(self, logical_name, host_name):
-        """Drop a location (the physical file itself is not touched)."""
-        if logical_name not in self._logical:
-            raise LogicalFileNotFoundError(logical_name)
-        entries = self._replicas[logical_name]
-        for entry in entries:
-            if entry.host_name == host_name:
-                entries.remove(entry)
-                return entry
-        raise KeyError(
-            f"{logical_name!r} has no replica at {host_name!r}"
-        )
-
     def locations(self, logical_name):
         """Physical locations of a logical file (instant, local view)."""
         if logical_name not in self._logical:

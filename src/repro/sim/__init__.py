@@ -27,12 +27,11 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.random_streams import RandomStream, StreamRegistry
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Event",
     "Interrupt",
     "Process",
@@ -41,7 +40,6 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "StopProcess",
-    "Store",
     "StreamRegistry",
     "Timeout",
 ]

@@ -1,14 +1,7 @@
 """Shared resources for simulation processes.
 
-Three classic primitives, modelled on SimPy's:
-
-* :class:`Resource` — a fixed number of slots with a FIFO wait queue
-  (e.g. a disk's concurrent-request limit, an FTP server's connection
-  limit);
-* :class:`Container` — a homogeneous quantity that processes put into and
-  get out of (e.g. buffer space);
-* :class:`Store` — a FIFO of distinct items (e.g. a message queue between
-  grid services).
+:class:`Resource`, modelled on SimPy's, is a fixed number of slots with
+a FIFO wait queue (e.g. an FTP server's connection limit).
 """
 
 from __future__ import annotations
@@ -21,7 +14,7 @@ from repro.sim.events import Event
 if TYPE_CHECKING:
     from repro.sim.kernel import Simulator
 
-__all__ = ["Container", "Resource", "Store"]
+__all__ = ["Resource"]
 
 
 class Request(Event):
@@ -95,108 +88,3 @@ class Resource:
             nxt = self.queue.popleft()
             self.users.append(nxt)
             nxt.succeed()
-
-
-class Container:
-    """A continuous quantity with blocking put/get."""
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf"),
-                 init: float = 0.0) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must lie within [0, capacity]")
-        self.sim = sim
-        self.capacity = capacity
-        self._level = init
-        self._puts: deque[tuple[Event, float]] = deque()
-        self._gets: deque[tuple[Event, float]] = deque()
-
-    def __repr__(self) -> str:
-        return f"<Container {self._level:.6g}/{self.capacity:.6g}>"
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; blocks while it would overflow capacity."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        event = Event(self.sim)
-        self._puts.append((event, amount))
-        self._settle()
-        return event
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; blocks until that much is available."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        event = Event(self.sim)
-        self._gets.append((event, amount))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._puts:
-                event, amount = self._puts[0]
-                if self._level + amount <= self.capacity:
-                    self._level += amount
-                    self._puts.popleft()
-                    event.succeed()
-                    progressed = True
-            if self._gets:
-                event, amount = self._gets[0]
-                if amount <= self._level:
-                    self._level -= amount
-                    self._gets.popleft()
-                    event.succeed(amount)
-                    progressed = True
-
-
-class Store:
-    """FIFO of arbitrary items with blocking put/get."""
-
-    def __init__(self, sim: Simulator,
-                 capacity: float = float("inf")) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.items: deque[Any] = deque()
-        self._puts: deque[tuple[Event, Any]] = deque()
-        self._gets: deque[Event] = deque()
-
-    def __repr__(self) -> str:
-        return f"<Store {len(self.items)} items>"
-
-    def put(self, item: Any) -> Event:
-        """Append ``item``; blocks while the store is full."""
-        event = Event(self.sim)
-        self._puts.append((event, item))
-        self._settle()
-        return event
-
-    def get(self) -> Event:
-        """Pop the oldest item; blocks while the store is empty."""
-        event = Event(self.sim)
-        self._gets.append(event)
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._puts and len(self.items) < self.capacity:
-                event, item = self._puts.popleft()
-                self.items.append(item)
-                event.succeed()
-                progressed = True
-            if self._gets and self.items:
-                event = self._gets.popleft()
-                event.succeed(self.items.popleft())
-                progressed = True

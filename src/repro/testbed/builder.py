@@ -27,7 +27,6 @@ from repro.monitoring.information import InformationService
 from repro.monitoring.mds import GIIS, GRIS
 from repro.monitoring.nws import (
     BandwidthSensor,
-    Clique,
     CpuSensor,
     NameServer,
     NwsMemory,
@@ -55,7 +54,6 @@ class Testbed:
         self.catalog = catalog
         self.selection_server = selection_server
         self.sensors = []
-        self.cliques = []
         self.load_generators = []
         self.cross_traffic = []
         #: The TopologySpec this testbed was built from (None on the
@@ -147,11 +145,10 @@ def _build_site(grid, site, uplink_router):
 
 
 def _attach_full_monitoring(grid, sites, nameserver, nws_memory, giis,
-                            sensor_period, use_cliques):
+                            sensor_period):
     """The paper's flat deployment: CPU sensors everywhere, bandwidth
     sensors between every ordered host pair."""
     sensors = []
-    cliques = []
     for host in grid.hosts.values():
         giis.register(GRIS(grid, host.name))
         sensors.append(
@@ -162,25 +159,16 @@ def _attach_full_monitoring(grid, sites, nameserver, nws_memory, giis,
         )
     host_names = grid.host_names()
     for src in host_names:
-        members = []
         for dst in host_names:
             if src == dst:
                 continue
-            sensor = BandwidthSensor(
-                grid.sim, nws_memory, grid, src, dst,
-                period=sensor_period, nameserver=nameserver,
-                autostart=not use_cliques,
-            )
-            sensors.append(sensor)
-            members.append(sensor)
-        if use_cliques and members:
-            cliques.append(
-                Clique(
-                    grid.sim, f"clique@{src}", members,
-                    period=sensor_period,
+            sensors.append(
+                BandwidthSensor(
+                    grid.sim, nws_memory, grid, src, dst,
+                    period=sensor_period, nameserver=nameserver,
                 )
             )
-    return sensors, cliques
+    return sensors
 
 
 def _attach_regional_monitoring(grid, spec, nameserver, selection_host,
@@ -317,7 +305,7 @@ def _attach_dynamics(testbed, grid, sites, uplinks, backbone_links):
 def build_testbed(sites=None, seed=0, monitoring=True,
                   sensor_period=10.0, dynamic=False,
                   catalog_host=None, selection_host=None,
-                  weights=None, use_cliques=False, observe=None,
+                  weights=None, observe=None,
                   topology=None, monitoring_mode=None):
     """Construct the paper's testbed, or any topology preset.
 
@@ -342,11 +330,6 @@ def build_testbed(sites=None, seed=0, monitoring=True,
         at THU), or the topology's client role on the topology path.
     weights:
         Cost-model weights; default the paper's 80/10/10.
-    use_cliques:
-        Schedule bandwidth probes through NWS cliques (one per source
-        host, token round-robin) instead of independent timers, so
-        probes from the same source never collide.  Each pair is still
-        measured once per ``sensor_period``.  Full monitoring only.
     observe:
         Attach a live observability bundle (metrics, sim-time spans,
         structured events) to the grid's simulator; reach it as
@@ -375,8 +358,6 @@ def build_testbed(sites=None, seed=0, monitoring=True,
     )
     if mode not in ("full", "regional"):
         raise ValueError(f"unknown monitoring mode {mode!r}")
-    if use_cliques and mode != "full":
-        raise ValueError("use_cliques requires full monitoring")
 
     grid = DataGrid(seed=seed, observe=observe)
 
@@ -430,7 +411,6 @@ def build_testbed(sites=None, seed=0, monitoring=True,
     # -- monitoring -------------------------------------------------------------
     nameserver = NameServer()
     testbed_sensors = []
-    testbed_cliques = []
     region_memories = {}
     region_giises = {}
     if monitoring and mode == "regional":
@@ -443,9 +423,8 @@ def build_testbed(sites=None, seed=0, monitoring=True,
         nameserver.register("memory", nws_memory.name, nws_memory)
         giis = GIIS(grid, selection_host, ttl=min(30.0, sensor_period))
         if monitoring:
-            testbed_sensors, testbed_cliques = _attach_full_monitoring(
-                grid, sites, nameserver, nws_memory, giis,
-                sensor_period, use_cliques,
+            testbed_sensors = _attach_full_monitoring(
+                grid, sites, nameserver, nws_memory, giis, sensor_period,
             )
         else:
             for host in grid.hosts.values():
@@ -464,7 +443,6 @@ def build_testbed(sites=None, seed=0, monitoring=True,
         catalog, selection_server,
     )
     testbed.sensors = testbed_sensors
-    testbed.cliques = testbed_cliques
     testbed.spec = topology
     testbed.roles = roles
     testbed.region_memories = region_memories

@@ -4,8 +4,7 @@ Two flavours:
 
 * :class:`StepSeries` — a piecewise-constant signal (CPU busy fraction,
   link utilisation, ...).  Supports exact integrals and time-weighted
-  means over any window, which is what sar-style interval reporting
-  needs.
+  means over any window (host background-load histories).
 * :class:`SampleSeries` — discrete measurement samples (NWS sensor
   readings, per-site cost values).  Supports windowed views, means and
   summary statistics, which is what the NWS memory and the Fig. 5 cost

@@ -1,9 +1,9 @@
-"""Workload generation: file sizes, request traces, load scenarios.
+"""Workload generation: open-loop arrivals and file popularity.
 
 The paper's intro motivates Data Grids with data-intensive science —
 high-energy physics, bioinformatics, virtual observatories — all of
 which hammer replicated file sets with skewed popularity.  This package
-generates those access patterns for the examples and experiments.
+generates those access patterns for the experiments and the benchmark.
 """
 
 from repro.workloads.arrivals import (
@@ -14,35 +14,14 @@ from repro.workloads.arrivals import (
     OpenLoopArrivals,
     offered_per_day,
 )
-from repro.workloads.background import LOAD_SCENARIOS, apply_load_scenario
-from repro.workloads.filesizes import (
-    FixedSize,
-    LogNormalSizes,
-    PAPER_SIZES_MB,
-    ParetoSizes,
-    UniformSizes,
-)
-from repro.workloads.traces import (
-    Request,
-    RequestTraceGenerator,
-    ZipfPopularity,
-)
+from repro.workloads.traces import ZipfPopularity
 
 __all__ = [
     "ArrivalRequest",
     "ConstantRate",
     "DiurnalProfile",
-    "FixedSize",
     "FlashCrowdProfile",
-    "LOAD_SCENARIOS",
     "OpenLoopArrivals",
-    "LogNormalSizes",
-    "PAPER_SIZES_MB",
-    "ParetoSizes",
-    "Request",
-    "RequestTraceGenerator",
-    "UniformSizes",
     "ZipfPopularity",
-    "apply_load_scenario",
     "offered_per_day",
 ]

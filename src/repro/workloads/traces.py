@@ -1,28 +1,10 @@
-"""Request traces: who asks for which logical file, when.
+"""File popularity: which logical file a request wants.
 
-A :class:`RequestTraceGenerator` emits Poisson request arrivals; which
-file each request wants follows a :class:`ZipfPopularity` (scientific
-data access is famously skewed — everyone reads this month's dataset).
+Scientific data access is famously skewed — everyone reads this month's
+dataset — so requests pick files by :class:`ZipfPopularity`.
 """
 
-__all__ = ["Request", "RequestTraceGenerator", "ZipfPopularity"]
-
-
-class Request:
-    """One access request in a trace."""
-
-    __slots__ = ("time", "client_name", "logical_name")
-
-    def __init__(self, time, client_name, logical_name):
-        self.time = float(time)
-        self.client_name = client_name
-        self.logical_name = logical_name
-
-    def __repr__(self):
-        return (
-            f"<Request t={self.time:.1f} {self.client_name} wants "
-            f"{self.logical_name!r}>"
-        )
+__all__ = ["ZipfPopularity"]
 
 
 class ZipfPopularity:
@@ -44,44 +26,3 @@ class ZipfPopularity:
 
     def sample(self, stream):
         return stream.weighted_choice(self.items, self.weights)
-
-
-class RequestTraceGenerator:
-    """Generates a request trace ahead of time (no simulation needed).
-
-    Parameters
-    ----------
-    stream:
-        A :class:`RandomStream` (e.g. ``sim.streams.get("workload")``).
-    client_names:
-        Hosts that issue requests (uniform choice per request).
-    popularity:
-        A :class:`ZipfPopularity` over logical file names.
-    arrival_rate:
-        Requests per second (Poisson).
-    """
-
-    def __init__(self, stream, client_names, popularity, arrival_rate):
-        if not client_names:
-            raise ValueError("need at least one client")
-        if arrival_rate <= 0:
-            raise ValueError("arrival_rate must be positive")
-        self.stream = stream
-        self.client_names = list(client_names)
-        self.popularity = popularity
-        self.arrival_rate = float(arrival_rate)
-
-    def generate(self, n_requests, start_time=0.0):
-        """Materialise ``n_requests`` as a list of :class:`Request`."""
-        if n_requests < 0:
-            raise ValueError("n_requests must be non-negative")
-        requests = []
-        time = float(start_time)
-        for _ in range(n_requests):
-            time += self.stream.expovariate(self.arrival_rate)
-            requests.append(Request(
-                time,
-                self.stream.choice(self.client_names),
-                self.popularity.sample(self.stream),
-            ))
-        return requests

@@ -1,11 +1,10 @@
-"""Tests for baseline selectors and the application-side scenario."""
+"""Tests for the baseline selectors."""
 
 import pytest
 
 from repro.core import (
     BandwidthOnlySelector,
     CostModelSelector,
-    DataGridApplication,
     LeastLoadedSelector,
     OracleSelector,
     ProximitySelector,
@@ -122,48 +121,3 @@ def test_selectors_reject_empty_candidates(warm_testbed):
         with pytest.raises(ValueError):
             run_process(warm_testbed.grid, selector.select("alpha1", []))
 
-
-class TestApplication:
-    def test_local_hit_costs_nothing(self, warm_testbed):
-        grid = warm_testbed.grid
-        grid.host("alpha2").filesystem.create("local-file", 100.0)
-        app = DataGridApplication(
-            grid, "alpha2", warm_testbed.selection_server
-        )
-        t0 = grid.sim.now
-        result = run_process(grid, app.access_file("local-file"))
-        assert result.local_hit
-        assert result.elapsed == 0.0
-        assert grid.sim.now == t0
-
-    def test_remote_access_selects_and_fetches(self, warm_testbed):
-        grid = warm_testbed.grid
-        app = DataGridApplication(
-            grid, "alpha3", warm_testbed.selection_server
-        )
-        result = run_process(grid, app.access_file("file-a"))
-        assert not result.local_hit
-        assert result.decision.chosen == result.transfer.source
-        assert result.elapsed > 0
-        assert "file-a" in grid.host("alpha3").filesystem
-
-    def test_second_access_is_local(self, warm_testbed):
-        grid = warm_testbed.grid
-        app = DataGridApplication(
-            grid, "hit1", warm_testbed.selection_server
-        )
-        first = run_process(grid, app.access_file("file-a"))
-        second = run_process(grid, app.access_file("file-a"))
-        assert not first.local_hit
-        assert second.local_hit
-        assert len(app.accesses) == 2
-
-    def test_run_workload(self, warm_testbed):
-        grid = warm_testbed.grid
-        app = DataGridApplication(
-            grid, "hit2", warm_testbed.selection_server
-        )
-        results = run_process(
-            grid, app.run_workload(["file-a", "file-a"])
-        )
-        assert [r.local_hit for r in results] == [False, True]

@@ -1,4 +1,4 @@
-"""Tests for third-party, striped transfers and globus_url_copy."""
+"""Tests for third-party and striped transfers."""
 
 import pytest
 
@@ -6,8 +6,6 @@ from repro.grid import DataGrid
 from repro.gridftp import (
     GridFtpClient,
     GridFtpServer,
-    GridUrl,
-    globus_url_copy,
     striped_get,
 )
 from repro.units import megabytes, mbit_per_s
@@ -107,73 +105,3 @@ class TestStriped:
         with pytest.raises(ValueError):
             run_process(grid, striped_get(client, [], "data"))
 
-
-class TestUrlCopy:
-    def test_url_parsing(self):
-        url = GridUrl.parse("gsiftp://alpha1/dir/file-a")
-        assert url.scheme == "gsiftp"
-        assert url.host == "alpha1"
-        assert url.path == "dir/file-a"
-
-    def test_url_parsing_errors(self):
-        with pytest.raises(ValueError):
-            GridUrl.parse("not-a-url")
-        with pytest.raises(ValueError):
-            GridUrl.parse("http://a/b")
-        with pytest.raises(ValueError):
-            GridUrl.parse("gsiftp://hostonly")
-
-    def test_get_via_urls(self):
-        grid = three_site_grid()
-        record = run_process(
-            grid,
-            globus_url_copy(
-                grid, "gsiftp://s1/data", "file://c/data", parallelism=2
-            ),
-        )
-        assert record.protocol == "gridftp"
-        assert record.streams == 2
-        assert "data" in grid.host("c").filesystem
-
-    def test_put_via_urls(self):
-        grid = three_site_grid()
-        grid.host("c").filesystem.create("up", megabytes(4))
-        record = run_process(
-            grid,
-            globus_url_copy(grid, "file://c/up", "gsiftp://s1/up"),
-        )
-        assert "up" in grid.host("s1").filesystem
-
-    def test_third_party_via_urls(self):
-        grid = three_site_grid()
-        record = run_process(
-            grid,
-            globus_url_copy(
-                grid, "gsiftp://s1/data", "gsiftp://s2/other"
-            ),
-        )
-        assert record.protocol == "gridftp-third-party"
-        assert "other" in grid.host("s2").filesystem
-
-    def test_plain_ftp_via_urls(self):
-        from repro.gridftp import FtpServer
-
-        grid = three_site_grid()
-        FtpServer(grid, "s1")
-        record = run_process(
-            grid, globus_url_copy(grid, "ftp://s1/data", "file://c/d2")
-        )
-        assert record.protocol == "ftp"
-
-    def test_ftp_with_parallelism_rejected(self):
-        grid = three_site_grid()
-        from repro.gridftp import FtpServer
-
-        FtpServer(grid, "s1")
-        with pytest.raises(ValueError):
-            run_process(
-                grid,
-                globus_url_copy(
-                    grid, "ftp://s1/data", "file://c/x", parallelism=2
-                ),
-            )

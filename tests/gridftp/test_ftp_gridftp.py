@@ -188,20 +188,3 @@ class TestGridFtp:
         client = GridFtpClient(grid, "dst")
         with pytest.raises(ValueError):
             run_process(grid, client.get("src", "file-a", parallelism=0))
-
-    def test_put_uploads_file(self):
-        grid = build_two_host_grid()
-        GridFtpServer(grid, "src")
-        grid.host("dst").filesystem.create("up", megabytes(8))
-        client = GridFtpClient(grid, "dst")
-        record = run_process(grid, client.put("src", "up"))
-        assert record.source == "dst"
-        assert record.destination == "src"
-        assert "up" in grid.host("src").filesystem
-
-    def test_put_missing_local_file(self):
-        grid = build_two_host_grid()
-        GridFtpServer(grid, "src")
-        client = GridFtpClient(grid, "dst")
-        with pytest.raises(RemoteFileNotFoundError):
-            run_process(grid, client.put("src", "ghost"))

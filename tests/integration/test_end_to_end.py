@@ -1,51 +1,54 @@
 """Integration tests: whole-system scenarios across all subsystems."""
 
-import pytest
-
-from repro.core import DataGridApplication
 from repro.gridftp import (
     GridFtpClient,
     ReliableFileTransfer,
     TransferFaultInjector,
 )
-from repro.replica import ReplicaManager
+from repro.hosts import CPULoadGenerator, DiskLoadGenerator
+from repro.network import CrossTrafficProcess
 from repro.testbed import build_testbed
+from repro.testbed.builder import BACKBONE
 from repro.units import MiB, megabytes
-from repro.workloads import apply_load_scenario
 
 from tests.conftest import run_process
 
 
 def test_paper_narrative_end_to_end():
     """The complete story of the paper in one simulation: populate the
-    grid with the replica manager, run monitoring under dynamic load,
-    select with the cost model, fetch with parallel GridFTP."""
+    catalog, run monitoring under dynamic load, select with the cost
+    model, fetch with parallel GridFTP."""
     testbed = build_testbed(seed=21, dynamic=True)
     grid = testbed.grid
+    catalog = testbed.catalog
 
-    # A curator at alpha2 publishes a dataset and replicates it out.
-    grid.host("alpha2").filesystem.create("dataset", megabytes(64))
-    manager = ReplicaManager(grid, testbed.catalog, "alpha2")
-    manager.publish("dataset", "alpha2")
-    run_process(grid, manager.create_replica("dataset", "alpha2", "hit1"))
-    run_process(grid, manager.create_replica("dataset", "alpha2", "lz01"))
-    assert len(testbed.catalog.locations("dataset")) == 3
+    # A curator at alpha2 publishes a dataset and replicates it out
+    # with server-to-server GridFTP copies.
+    size = megabytes(64)
+    grid.host("alpha2").filesystem.create("dataset", size)
+    catalog.create_logical_file("dataset", size)
+    catalog.register_replica("dataset", "alpha2")
+    curator = GridFtpClient(grid, "alpha2")
+    for target in ["hit1", "lz01"]:
+        run_process(grid, curator.third_party("alpha2", target, "dataset"))
+        catalog.register_replica("dataset", target)
+    assert len(catalog.locations("dataset")) == 3
 
     testbed.warm_up(120.0)
 
-    # A scientist at hit0 accesses it: the HIT-local replica should win
+    # A scientist at hit0 fetches it: the HIT-local replica should win
     # (same-site 1 Gbps LAN beats everything).
-    app = DataGridApplication(
-        grid, "hit0", testbed.selection_server, parallelism=4
+    decision, record = run_process(
+        grid,
+        testbed.selection_server.fetch("hit0", "dataset", parallelism=4),
     )
-    result = run_process(grid, app.access_file("dataset"))
-    assert not result.local_hit
-    assert result.decision.chosen == "hit1"
-    assert result.transfer.streams == 4
+    assert decision.chosen == "hit1"
+    assert record.source == "hit1"
+    assert record.streams == 4
     assert "dataset" in grid.host("hit0").filesystem
 
     # Selection consulted real monitoring, not defaults.
-    factors = result.decision.scores[0].factors
+    factors = decision.scores[0].factors
     assert factors.forecaster is not None
     assert factors.forecaster != "live-probe"
 
@@ -64,11 +67,10 @@ def test_concurrent_applications_contend_and_all_finish():
     results = {}
 
     def one_access(client_name):
-        app = DataGridApplication(
-            grid, client_name, testbed.selection_server
+        _, record = yield from testbed.selection_server.fetch(
+            client_name, "hot-file"
         )
-        result = yield from app.access_file("hot-file")
-        results[client_name] = result
+        results[client_name] = record
 
     from repro.sim import AllOf
 
@@ -78,7 +80,7 @@ def test_concurrent_applications_contend_and_all_finish():
     assert sorted(results) == sorted(clients)
     for name in clients:
         assert "hot-file" in grid.host(name).filesystem
-        assert results[name].transfer.elapsed > 0
+        assert results[name].elapsed > 0
 
 
 def test_contention_is_visible_in_transfer_times():
@@ -120,8 +122,33 @@ def test_reliable_transfer_on_real_testbed_under_faults():
     assert grid.network.active_flows == []
 
 
+def _start_bursty_load(testbed):
+    """Idle-or-saturated load on every host and WAN uplink, switching
+    every 20 s on average."""
+    grid = testbed.grid
+    rebalance = grid.network.rebalance
+    for host in grid.hosts.values():
+        CPULoadGenerator(
+            grid.sim, host.cpu,
+            levels=[lvl * host.cpu.cores for lvl in [0.0, 0.0, 0.9]],
+            mean_holding_time=20.0, notify=rebalance,
+        )
+        DiskLoadGenerator(
+            grid.sim, host.disk, levels=[0.0, 0.0, 0.8],
+            mean_holding_time=20.0, notify=rebalance,
+        )
+    for site in testbed.sites.values():
+        for direction in [
+            (site.switch_name, BACKBONE), (BACKBONE, site.switch_name)
+        ]:
+            CrossTrafficProcess(
+                grid.sim, grid.network, grid.topology.link(*direction),
+                levels=[0.0, 0.0, 0.7], mean_holding_time=20.0,
+            )
+
+
 def test_load_scenarios_shift_selection():
-    """Under the bursty scenario the chosen replica varies over time."""
+    """Under bursty load the chosen replica varies over time."""
     testbed = build_testbed(seed=25)
     grid = testbed.grid
     size = megabytes(16)
@@ -129,7 +156,7 @@ def test_load_scenarios_shift_selection():
     for host_name in ["alpha4", "hit0"]:
         grid.host(host_name).filesystem.create("f", size)
         testbed.catalog.register_replica("f", host_name)
-    apply_load_scenario(testbed, "bursty")
+    _start_bursty_load(testbed)
     testbed.warm_up(120.0)
 
     chosen = set()

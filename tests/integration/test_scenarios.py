@@ -1,44 +1,13 @@
 """Scenario battery: multi-component stories across the whole stack."""
 
-import pytest
-
 from repro.testbed import build_testbed
-from repro.units import MiB, megabytes
+from repro.units import megabytes
 
 from tests.conftest import run_process
 
 
-def test_clique_testbed_selection_works_end_to_end():
-    """Selection on a testbed whose probing runs through NWS cliques."""
-    testbed = build_testbed(seed=81, use_cliques=True)
-    grid = testbed.grid
-    assert len(testbed.cliques) == 12  # one per source host
-    size = megabytes(16)
-    testbed.catalog.create_logical_file("f", size)
-    for name in ["alpha4", "hit0", "lz02"]:
-        grid.host(name).filesystem.create("f", size)
-        testbed.catalog.register_replica("f", name)
-    testbed.warm_up(90.0)
-    decision = run_process(
-        grid, testbed.selection_server.select("alpha1", "f")
-    )
-    assert decision.chosen == "alpha4"
-    # Every clique actually rotated.
-    assert all(c.rotations >= 1 for c in testbed.cliques)
-
-
-def test_clique_probes_from_one_source_never_collide():
-    testbed = build_testbed(seed=82, use_cliques=True)
-    testbed.warm_up(120.0)
-    for clique in testbed.cliques:
-        times = [t for t, _ in clique.probe_log]
-        for earlier, later in zip(times, times[1:]):
-            assert later > earlier  # strictly spaced, never concurrent
-
-
-def test_gram_jobs_and_transfers_contend_for_cpu():
+def test_background_jobs_and_transfers_contend_for_cpu():
     """A compute-loaded Li-Zen host serves transfers more slowly."""
-    from repro.gram import Job, JobManager
     from repro.gridftp import GridFtpClient
 
     testbed = build_testbed(seed=83, monitoring=False)
@@ -52,8 +21,8 @@ def test_gram_jobs_and_transfers_contend_for_cpu():
     client = GridFtpClient(grid, "lz01")
     idle_record = run_process(grid, client.get("lz02", "f", "idle-copy"))
 
-    manager = JobManager(grid, "lz02", notify=grid.network.rebalance)
-    manager.submit(Job(cpu_seconds=1e9, cores=1))  # the only core
+    host.cpu.set_background_busy(host.cpu.cores)  # every core
+    grid.network.rebalance()
     busy_record = run_process(grid, client.get("lz02", "f", "busy-copy"))
     assert busy_record.data_seconds > idle_record.data_seconds * 2
 

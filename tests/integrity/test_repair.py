@@ -1,10 +1,10 @@
-"""Tests for quarantine-driven replica repair and replica audits."""
+"""Tests for quarantine-driven replica repair."""
 
 import pytest
 
 from repro.analysis.sanitizers import check_leaks
+from repro.gridftp import GridFtpClient
 from repro.integrity import ReplicaHealthRegistry, ReplicaRepairService
-from repro.replica.manager import ReplicaManager
 from repro.testbed import build_testbed
 from repro.units import megabytes
 
@@ -23,12 +23,11 @@ def repair_setup(seed=11, file_mb=32):
         testbed.catalog.register_replica("file-a", host_name)
     testbed.warm_up(30.0)
     health = ReplicaHealthRegistry(grid, failure_threshold=1)
-    manager = ReplicaManager(grid, testbed.catalog, "alpha1",
-                             health=health)
+    client = GridFtpClient(grid, "alpha1")
     repair = ReplicaRepairService(
-        grid, testbed.catalog, manager, health, period=30.0
+        grid, testbed.catalog, client, health, period=30.0
     )
-    return testbed, health, manager, repair
+    return testbed, health, client, repair
 
 
 def corrupt_replica(testbed, host_name):
@@ -91,19 +90,19 @@ class TestRepairSweep:
         run_process(grid, sweep_and_watch())
         assert repair.repairs
 
-    def test_deleted_replica_is_dropped_from_quarantine(self):
+    def test_unregistered_replica_is_dropped_from_quarantine(self):
         testbed, health, _, repair = repair_setup()
-        health.quarantine("file-a", "alpha4")
-        testbed.catalog.unregister_replica("file-a", "alpha4")
+        # hit1 holds no replica of file-a in the catalog.
+        health.quarantine("file-a", "hit1")
         completed = run_process(testbed.grid, repair.run_once())
         assert completed == []
-        assert not health.is_quarantined("file-a", "alpha4")
+        assert not health.is_quarantined("file-a", "hit1")
 
     def test_validation(self):
-        testbed, health, manager, _ = repair_setup()
+        testbed, health, client, _ = repair_setup()
         with pytest.raises(ValueError):
             ReplicaRepairService(
-                testbed.grid, testbed.catalog, manager, health,
+                testbed.grid, testbed.catalog, client, health,
                 period=0.0,
             )
 
@@ -133,23 +132,3 @@ class TestPeriodicDriver:
             repair.start()
         repair.stop()
 
-
-class TestReplicaAudit:
-    def test_create_replica_audits_the_new_copy(self):
-        testbed, health, manager, _ = repair_setup()
-        corrupt_replica(testbed, "alpha4")
-        corrupt_replica(testbed, "hit0")
-        corrupt_replica(testbed, "lz02")
-
-        def create():
-            yield from manager.create_replica("file-a", "alpha4",
-                                              "alpha2")
-
-        run_process(testbed.grid, create())
-        # The byte copy of a rotten source is rotten; the audit caught it.
-        assert health.failure_count("file-a", "alpha2") >= 1
-
-    def test_audit_replica_passes_on_clean_copy(self):
-        testbed, health, manager, _ = repair_setup()
-        assert manager.audit_replica("file-a", "alpha4")
-        assert health.failure_count("file-a", "alpha4") == 0

@@ -1,155 +1,15 @@
-"""Tests for the sysstat clones: iostat, mpstat, sar."""
+"""Tests for the iostat clone."""
 
 import pytest
 
-from repro.monitoring.sysstat import IoStat, MpStat, Sar
-from repro.units import mbit_per_s, megabytes
+from repro.monitoring.sysstat import IoStat
 
 from tests.conftest import build_two_host_grid
 
 
 class TestIoStat:
-    def test_idle_disk_reports_full_idle(self):
-        grid = build_two_host_grid()
-        iostat = IoStat(grid.host("src"))
-        grid.run(until=10.0)
-        report = iostat.report()
-        assert report.idle_fraction == pytest.approx(1.0)
-        assert report.utilisation == pytest.approx(0.0)
-
-    def test_background_load_shows_in_report(self):
-        grid = build_two_host_grid()
-        host = grid.host("src")
-        host.disk.set_background_utilisation(0.4)
-        iostat = IoStat(host)
-        grid.run(until=10.0)
-        report = iostat.report()
-        assert report.utilisation == pytest.approx(0.4)
-
-    def test_interval_average_of_changing_load(self):
-        grid = build_two_host_grid()
-        host = grid.host("src")
-        iostat = IoStat(host)
-
-        def loader():
-            yield grid.sim.timeout(5.0)
-            host.disk.set_background_utilisation(0.8)
-
-        grid.sim.process(loader())
-        grid.run(until=10.0)
-        report = iostat.report()  # window [0, 10]: half at 0, half at 0.8
-        assert report.utilisation == pytest.approx(0.4)
-
-    def test_throughput_since_last_report(self):
-        grid = build_two_host_grid(capacity=mbit_per_s(800), latency=1e-4)
-        host = grid.host("src")
-        iostat = IoStat(host)
-        flow = grid.network.start_flow(
-            "src", "dst", megabytes(100),
-            extra_links=host.transfer_source_links(),
-        )
-        grid.sim.run(until=flow.done)
-        grid.run(until=grid.sim.now + 1.0)
-        report = iostat.report()
-        assert report.bytes_per_second > 0
-        # All bytes accounted for.
-        assert report.bytes_per_second * report.interval == pytest.approx(
-            megabytes(100), rel=0.01
-        )
-
     def test_instantaneous_idle(self):
         grid = build_two_host_grid()
         host = grid.host("src")
         host.disk.set_background_utilisation(0.3)
         assert IoStat(host).instantaneous_idle() == pytest.approx(0.7)
-
-
-class TestMpStat:
-    def test_idle_host(self):
-        grid = build_two_host_grid()
-        report = MpStat(grid.host("src")).report()
-        assert report.idle_fraction == pytest.approx(1.0)
-
-    def test_background_counts_as_user_time(self):
-        grid = build_two_host_grid()
-        host = grid.host("src")  # 2 cores
-        host.cpu.set_background_busy(1.0)
-        mpstat = MpStat(host)
-        grid.run(until=10.0)
-        report = mpstat.report()
-        assert report.user_fraction == pytest.approx(0.5)
-        assert report.idle_fraction == pytest.approx(0.5)
-
-    def test_transfers_count_as_system_time(self):
-        grid = build_two_host_grid()
-        host = grid.host("src")
-        host.cpu.channel.allocated = 0.5 / host.cpu.transfer_cost_per_byte
-        report = MpStat(host).report()
-        assert report.system_fraction == pytest.approx(0.25)  # 0.5 of 2 cores
-
-    def test_fractions_sum_to_one(self):
-        grid = build_two_host_grid()
-        host = grid.host("src")
-        host.cpu.set_background_busy(1.5)
-        report = MpStat(host).report()
-        total = (
-            report.user_fraction + report.system_fraction +
-            report.idle_fraction
-        )
-        assert total == pytest.approx(1.0)
-
-
-class TestSar:
-    def test_collector_samples_periodically(self):
-        grid = build_two_host_grid()
-        sar = Sar(grid, "src", interval=5.0)
-        grid.run(until=51.0)
-        assert sar.samples_taken == 11  # t=0,5,...,50
-
-    def test_cpu_report_reflects_load_history(self):
-        grid = build_two_host_grid()
-        host = grid.host("src")
-        sar = Sar(grid, "src", interval=1.0)
-
-        def loader():
-            yield grid.sim.timeout(10.0)
-            host.cpu.set_background_busy(2.0)  # fully busy
-
-        grid.sim.process(loader())
-        grid.run(until=20.0)
-        early = sar.cpu_report(0.0, 9.0)
-        late = sar.cpu_report(11.0, 19.0)
-        assert early["mean_idle"] == pytest.approx(1.0)
-        assert late["mean_idle"] == pytest.approx(0.0)
-
-    def test_network_report_measures_flow(self):
-        grid = build_two_host_grid(capacity=1000.0)
-        sar = Sar(grid, "src", interval=1.0)
-        grid.network.start_flow("src", "dst", 5000.0)
-        grid.run(until=10.0)
-        report = sar.network_report(0.0, 10.0)
-        rate = report[("src", "dst")]["bytes_per_second"]
-        # 5000 bytes over 10s window sampled at 1s -> ~555 B/s between
-        # first and last sample (flow ran t=0..5).
-        assert rate > 0
-
-    def test_network_report_validation(self):
-        grid = build_two_host_grid()
-        sar = Sar(grid, "src")
-        with pytest.raises(ValueError):
-            sar.network_report(5.0, 5.0)
-
-    def test_stop_halts_collection(self):
-        grid = build_two_host_grid()
-        sar = Sar(grid, "src", interval=1.0)
-        grid.run(until=5.0)
-        sar.stop()
-        grid.run(until=6.0)
-        count = sar.samples_taken
-        grid.run(until=50.0)
-        assert sar.samples_taken == count
-
-    def test_interval_validation(self):
-        grid = build_two_host_grid()
-        with pytest.raises(ValueError):
-            Sar(grid, "src", interval=0.0)

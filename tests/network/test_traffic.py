@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.network import (
-    CrossTrafficProcess,
-    FlowNetwork,
-    FlowTrafficGenerator,
-    Topology,
-)
+from repro.network import CrossTrafficProcess, FlowNetwork, Topology
 from repro.sim import Simulator
 
 
@@ -79,53 +74,3 @@ def test_cross_traffic_validation():
         CrossTrafficProcess(sim, net, link, levels=[1.5], mean_holding_time=1.0)
     with pytest.raises(ValueError):
         CrossTrafficProcess(sim, net, link, levels=[0.1], mean_holding_time=0)
-
-
-def test_flow_generator_spawns_flows():
-    sim, topo, net = make_net()
-    gen = FlowTrafficGenerator(
-        sim, net, hosts=["a", "b", "c"], arrival_rate=1.0, mean_size=100.0
-    )
-    sim.run(until=100.0)
-    assert gen.spawned > 50
-    assert len(net.completed) > 0
-    for flow in net.completed:
-        assert flow.label == "background"
-        assert flow.path.src != flow.path.dst
-
-
-def test_flow_generator_deterministic_under_seed():
-    counts = []
-    for _ in range(2):
-        sim, topo, net = make_net()
-        gen = FlowTrafficGenerator(
-            sim, net, hosts=["a", "b"], arrival_rate=2.0, mean_size=50.0
-        )
-        sim.run(until=50.0)
-        counts.append(gen.spawned)
-    assert counts[0] == counts[1]
-
-
-def test_flow_generator_stop():
-    sim, topo, net = make_net()
-    gen = FlowTrafficGenerator(
-        sim, net, hosts=["a", "b"], arrival_rate=5.0, mean_size=10.0
-    )
-    sim.run(until=10.0)
-    gen.stop()
-    sim.run(until=11.0)
-    spawned = gen.spawned
-    sim.run(until=50.0)
-    assert gen.spawned == spawned
-
-
-def test_flow_generator_validation():
-    sim, topo, net = make_net()
-    with pytest.raises(ValueError):
-        FlowTrafficGenerator(sim, net, ["a"], 1.0, 10.0)
-    with pytest.raises(ValueError):
-        FlowTrafficGenerator(sim, net, ["a", "b"], 0.0, 10.0)
-    with pytest.raises(ValueError):
-        FlowTrafficGenerator(sim, net, ["a", "b"], 1.0, -5.0)
-    with pytest.raises(ValueError):
-        FlowTrafficGenerator(sim, net, ["a", "b"], 1.0, 10.0, pareto_alpha=1.0)

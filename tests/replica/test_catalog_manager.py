@@ -1,14 +1,9 @@
-"""Tests for the replica catalog and manager."""
+"""Tests for the replica catalog."""
 
 import pytest
 
 from repro.grid import DataGrid
-from repro.gridftp import GridFtpServer
-from repro.replica import (
-    LogicalFileNotFoundError,
-    ReplicaCatalog,
-    ReplicaManager,
-)
+from repro.replica import LogicalFileNotFoundError, ReplicaCatalog
 from repro.units import megabytes, mbit_per_s
 
 from tests.conftest import run_process
@@ -21,7 +16,6 @@ def make_grid():
     grid.add_router("core")
     for name in ["a", "b", "c"]:
         grid.connect(name, "core", mbit_per_s(100), latency=0.002)
-        GridFtpServer(grid, name)
     return grid
 
 
@@ -66,16 +60,6 @@ class TestCatalog:
         with pytest.raises(KeyError):
             catalog.register_replica("f", "nowhere")
 
-    def test_unregister(self):
-        grid = make_grid()
-        catalog = ReplicaCatalog(grid, "a")
-        catalog.create_logical_file("f", 1.0)
-        catalog.register_replica("f", "b")
-        catalog.unregister_replica("f", "b")
-        assert catalog.locations("f") == []
-        with pytest.raises(KeyError):
-            catalog.unregister_replica("f", "b")
-
     def test_attribute_search(self):
         grid = make_grid()
         catalog = ReplicaCatalog(grid, "a")
@@ -109,58 +93,3 @@ class TestCatalog:
         run_process(grid, catalog.query_locations("a", "f"))
         assert grid.sim.now == t0
 
-
-class TestManager:
-    def setup_manager(self):
-        grid = make_grid()
-        catalog = ReplicaCatalog(grid, "a")
-        grid.host("b").filesystem.create("data", megabytes(16))
-        manager = ReplicaManager(grid, catalog, "a")
-        return grid, catalog, manager
-
-    def test_publish_existing_file(self):
-        grid, catalog, manager = self.setup_manager()
-        entry = manager.publish("data", "b")
-        assert entry.host_name == "b"
-        assert catalog.logical_file("data").size_bytes == megabytes(16)
-
-    def test_publish_missing_file_rejected(self):
-        grid, catalog, manager = self.setup_manager()
-        with pytest.raises(FileNotFoundError):
-            manager.publish("ghost", "b")
-
-    def test_publish_size_mismatch_rejected(self):
-        grid, catalog, manager = self.setup_manager()
-        with pytest.raises(ValueError):
-            manager.publish("data", "b", size_bytes=1.0)
-
-    def test_create_replica_moves_data_and_registers(self):
-        grid, catalog, manager = self.setup_manager()
-        manager.publish("data", "b")
-        entry = run_process(
-            grid, manager.create_replica("data", "b", "c")
-        )
-        assert entry.host_name == "c"
-        assert "data" in grid.host("c").filesystem
-        hosts = {e.host_name for e in catalog.locations("data")}
-        assert hosts == {"b", "c"}
-
-    def test_create_replica_from_nonholder_rejected(self):
-        grid, catalog, manager = self.setup_manager()
-        manager.publish("data", "b")
-        with pytest.raises(ValueError):
-            run_process(grid, manager.create_replica("data", "c", "a"))
-
-    def test_delete_replica_removes_file_and_entry(self):
-        grid, catalog, manager = self.setup_manager()
-        manager.publish("data", "b")
-        run_process(grid, manager.create_replica("data", "b", "c"))
-        manager.delete_replica("data", "c")
-        assert "data" not in grid.host("c").filesystem
-        assert {e.host_name for e in catalog.locations("data")} == {"b"}
-
-    def test_refuses_to_delete_last_replica(self):
-        grid, catalog, manager = self.setup_manager()
-        manager.publish("data", "b")
-        with pytest.raises(ValueError):
-            manager.delete_replica("data", "b")

@@ -1,8 +1,8 @@
-"""Tests for Resource, Container and Store."""
+"""Tests for Resource."""
 
 import pytest
 
-from repro.sim import Container, Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 
 
 def test_resource_grants_up_to_capacity():
@@ -52,106 +52,3 @@ def test_resource_capacity_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
         Resource(sim, capacity=0)
-
-
-def test_container_put_get_levels():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0, init=4.0)
-    tank.put(3.0)
-    assert tank.level == 7.0
-    tank.get(5.0)
-    assert tank.level == 2.0
-
-
-def test_container_get_blocks_until_available():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0)
-    got = []
-
-    def consumer():
-        yield tank.get(5.0)
-        got.append(sim.now)
-
-    def producer():
-        yield sim.timeout(2.0)
-        yield tank.put(5.0)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [2.0]
-
-
-def test_container_put_blocks_on_overflow():
-    sim = Simulator()
-    tank = Container(sim, capacity=5.0, init=5.0)
-    done = []
-
-    def producer():
-        yield tank.put(2.0)
-        done.append(sim.now)
-
-    def consumer():
-        yield sim.timeout(3.0)
-        yield tank.get(4.0)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert done == [3.0]
-    assert tank.level == 3.0
-
-
-def test_container_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Container(sim, capacity=0)
-    with pytest.raises(ValueError):
-        Container(sim, capacity=5, init=6)
-    tank = Container(sim, capacity=5)
-    with pytest.raises(ValueError):
-        tank.put(0)
-    with pytest.raises(ValueError):
-        tank.get(-1)
-
-
-def test_store_fifo_order():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    def producer():
-        for item in ["x", "y", "z"]:
-            yield store.put(item)
-            yield sim.timeout(1.0)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == ["x", "y", "z"]
-
-
-def test_store_capacity_blocks_puts():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    times = []
-
-    def producer():
-        yield store.put("a")
-        times.append(("a", sim.now))
-        yield store.put("b")
-        times.append(("b", sim.now))
-
-    def consumer():
-        yield sim.timeout(4.0)
-        yield store.get()
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert times == [("a", 0.0), ("b", 4.0)]

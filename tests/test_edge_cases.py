@@ -3,39 +3,9 @@
 import pytest
 
 from repro.grid import DataGrid
-from repro.units import mbit_per_s, megabytes
+from repro.units import megabytes
 
 from tests.conftest import build_two_host_grid, run_process
-
-
-class TestGridUrlSemantics:
-    def test_equality_and_repr(self):
-        from repro.gridftp import GridUrl
-
-        a = GridUrl.parse("gsiftp://h/p")
-        b = GridUrl.parse("gsiftp://h/p")
-        c = GridUrl.parse("gsiftp://h/other")
-        assert a == b
-        assert a != c
-        assert a != "gsiftp://h/p"
-        assert "gsiftp" in repr(a)
-
-    def test_nested_path_preserved(self):
-        from repro.gridftp import GridUrl
-
-        url = GridUrl.parse("ftp://host/a/b/c.dat")
-        assert url.path == "a/b/c.dat"
-
-    def test_unsupported_combination(self):
-        from repro.gridftp import FtpServer, globus_url_copy
-
-        grid = build_two_host_grid()
-        FtpServer(grid, "src")
-        with pytest.raises(ValueError):
-            run_process(
-                grid,
-                globus_url_copy(grid, "file://src/x", "ftp://dst/x"),
-            )
 
 
 class TestSelectionServerEdges:
@@ -133,23 +103,6 @@ class TestMonitoringEdges:
         fraction, label = info.bandwidth_fraction("dst", "dst")
         assert fraction == 1.0
         assert label == "loopback"
-
-    def test_iostat_lookback_window(self):
-        from repro.monitoring.sysstat import IoStat
-
-        grid = build_two_host_grid()
-        host = grid.host("src")
-        iostat = IoStat(host)
-        grid.run(until=100.0)
-        host.disk.set_background_utilisation(0.8)
-        grid.run(until=110.0)
-        # Last 10 s: fully at 0.8.  Last 100 s: mostly idle.
-        short = iostat.report(lookback=10.0)
-        assert short.utilisation == pytest.approx(0.8)
-        long = IoStat(host)
-        long._last_report_time = 0.0
-        report = long.report(lookback=110.0)
-        assert report.utilisation < 0.2
 
 
 class TestRunnerEdges:

@@ -62,6 +62,16 @@ class TestBasics:
         assert (mu - low) == pytest.approx(high - mu, abs=1e-6)
 
 
+#: Experiment -> an outcome column its ``--seeds`` output must carry.
+SEEDED_OUTCOMES = {
+    "abl_striped": "seconds_mean",
+    "fig_chaos": "chaos_injections_mean",  # int outcome
+    "abl_forecast": "best_forecaster",  # str outcome
+    "abl_coalloc": "fast_share_mean",  # absent from some rows
+    "fig_scale": "events_mean",  # int outcome
+}
+
+
 class TestReplication:
     def test_replicate_aggregates_float_columns(self):
         from repro.experiments.base import ExperimentResult
@@ -111,8 +121,40 @@ class TestReplication:
             # The static fig3 testbed is seed-independent.
             assert row["ftp_seconds_ci95"] == pytest.approx(0.0, abs=1e-6)
 
-    def test_runner_replication_of_dynamic_experiment(self):
+    @pytest.mark.parametrize("experiment_id", sorted(SEEDED_OUTCOMES))
+    def test_runner_replication_of_dynamic_experiment(self, experiment_id):
+        """Integer and string outcomes that vary by seed, and columns
+        only some rows carry, aggregate instead of failing."""
         from repro.experiments.runner import run_experiment
 
-        result = run_experiment("abl_striped", quick=True, seeds=2)
-        assert result.rows  # aggregated without error
+        result = run_experiment(experiment_id, quick=True, seeds=2)
+        outcome = SEEDED_OUTCOMES[experiment_id]
+        assert result.experiment_id == f"{experiment_id}@2seeds"
+        assert outcome in result.headers
+        assert any(outcome in row for row in result.rows)
+
+    def test_replication_pairs_rows_by_configuration(self):
+        """abl_selectors sorts its rows by fetch time, so row order
+        differs by seed; each aggregate must average one selector."""
+        from repro.experiments.replication import replicate
+        from repro.experiments.runner import EXPERIMENTS
+
+        runs = []
+
+        def one_run(seed):
+            runs.append(EXPERIMENTS["abl_selectors"](True, seed))
+            return runs[-1]
+
+        result = replicate(one_run, [0, 1])
+        per_seed = [
+            {row["selector"]: row["mean_fetch_seconds"] for row in r.rows}
+            for r in runs
+        ]
+        assert [r["selector"] for r in result.rows] == [
+            r["selector"] for r in runs[0].rows
+        ]
+        for row in result.rows:
+            values = [seed_rows[row["selector"]] for seed_rows in per_seed]
+            assert row["mean_fetch_seconds_mean"] == pytest.approx(
+                sum(values) / len(values)
+            )

@@ -99,11 +99,6 @@ def test_federation_freeze_thaw(warm_testbed):
         assert not testbed.region_memories[name].is_frozen
 
 
-def test_use_cliques_requires_full_monitoring():
-    with pytest.raises(ValueError, match="full monitoring"):
-        build_testbed(topology=SPEC, use_cliques=True)
-
-
 def test_monitoring_mode_override_full():
     testbed = build_testbed(
         topology=scaled(14, seed=2), monitoring_mode="full"

@@ -1,68 +1,13 @@
-"""Tests for workload generation: sizes, traces, load scenarios."""
-
-import math
+"""Tests for workload generation: file popularity."""
 
 import pytest
 
 from repro.sim.random_streams import RandomStream
-from repro.units import megabytes
-from repro.workloads import (
-    FixedSize,
-    LOAD_SCENARIOS,
-    LogNormalSizes,
-    PAPER_SIZES_MB,
-    ParetoSizes,
-    Request,
-    RequestTraceGenerator,
-    UniformSizes,
-    ZipfPopularity,
-    apply_load_scenario,
-)
+from repro.workloads import ZipfPopularity
 
 
 def stream(name="test"):
     return RandomStream(99, name)
-
-
-class TestFileSizes:
-    def test_paper_sizes(self):
-        assert PAPER_SIZES_MB == (256, 512, 1024, 2048)
-
-    def test_fixed(self):
-        dist = FixedSize(64)
-        assert dist.sample(stream()) == megabytes(64)
-        with pytest.raises(ValueError):
-            FixedSize(0)
-
-    def test_uniform_bounds(self):
-        dist = UniformSizes(10, 100)
-        s = stream()
-        for _ in range(100):
-            size = dist.sample(s)
-            assert megabytes(10) <= size <= megabytes(100)
-        with pytest.raises(ValueError):
-            UniformSizes(100, 10)
-
-    def test_pareto_mean_and_cap(self):
-        dist = ParetoSizes(mean_mb=100, alpha=2.0, cap_mb=1000)
-        s = stream()
-        samples = [dist.sample(s) for _ in range(3000)]
-        mean_mb = sum(samples) / len(samples) / megabytes(1)
-        assert 60 < mean_mb < 140  # capped mean near the target
-        assert max(samples) <= megabytes(1000)
-        with pytest.raises(ValueError):
-            ParetoSizes(100, alpha=1.0)
-
-    def test_lognormal_median(self):
-        dist = LogNormalSizes(median_mb=50, sigma=0.5)
-        s = stream()
-        samples = sorted(dist.sample(s) for _ in range(2001))
-        median_mb = samples[1000] / megabytes(1)
-        assert 35 < median_mb < 70
-        with pytest.raises(ValueError):
-            LogNormalSizes(0)
-        with pytest.raises(ValueError):
-            LogNormalSizes(10, sigma=0)
 
 
 class TestZipf:
@@ -87,72 +32,3 @@ class TestZipf:
             ZipfPopularity([])
         with pytest.raises(ValueError):
             ZipfPopularity(["a"], exponent=-1)
-
-
-class TestTraceGenerator:
-    def make(self, rate=0.5):
-        return RequestTraceGenerator(
-            stream=stream("trace"),
-            client_names=["c1", "c2"],
-            popularity=ZipfPopularity(["f1", "f2", "f3"]),
-            arrival_rate=rate,
-        )
-
-    def test_generates_monotone_times(self):
-        trace = self.make().generate(50)
-        times = [r.time for r in trace]
-        assert times == sorted(times)
-        assert all(isinstance(r, Request) for r in trace)
-
-    def test_mean_interarrival(self):
-        trace = self.make(rate=2.0).generate(4000)
-        mean_gap = trace[-1].time / len(trace)
-        assert 0.4 < mean_gap < 0.6  # ~1/rate
-
-    def test_start_time_offset(self):
-        trace = self.make().generate(5, start_time=1000.0)
-        assert trace[0].time > 1000.0
-
-    def test_clients_and_files_drawn_from_pools(self):
-        trace = self.make().generate(200)
-        assert {r.client_name for r in trace} == {"c1", "c2"}
-        assert {r.logical_name for r in trace} <= {"f1", "f2", "f3"}
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RequestTraceGenerator(
-                stream(), [], ZipfPopularity(["f"]), 1.0
-            )
-        with pytest.raises(ValueError):
-            RequestTraceGenerator(
-                stream(), ["c"], ZipfPopularity(["f"]), 0.0
-            )
-        with pytest.raises(ValueError):
-            self.make().generate(-1)
-
-
-class TestLoadScenarios:
-    def test_known_scenarios(self):
-        assert set(LOAD_SCENARIOS) == {"quiet", "busy", "bursty"}
-
-    def test_apply_starts_generators(self):
-        from repro.testbed import build_testbed
-
-        testbed = build_testbed(seed=5, monitoring=False)
-        started = apply_load_scenario(testbed, "busy")
-        # 12 hosts x (cpu + disk) + 3 sites x 2 WAN directions.
-        assert len(started) == 12 * 2 + 3 * 2
-        testbed.warm_up(300.0)
-        # The busy scenario actually loads machines.
-        idles = [
-            testbed.grid.host(n).cpu_idle_fraction
-            for n in testbed.host_names()
-        ]
-        assert min(idles) < 0.9
-
-    def test_unknown_scenario_rejected(self):
-        from repro.testbed import build_testbed
-
-        testbed = build_testbed(seed=5, monitoring=False)
-        with pytest.raises(KeyError):
-            apply_load_scenario(testbed, "chaos")

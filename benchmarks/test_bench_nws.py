@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from repro.monitoring.nws import Measurement, NwsMemory, series_key
+from repro.monitoring.nws import NwsMemory, series_key
 from repro.sim import Simulator
 from tests.monitoring.memory_reference import EagerMemory
 
@@ -35,24 +35,25 @@ KEY = series_key("bandwidth", "a", "b")
 
 
 def _readings(start, count, seed=0):
+    """``(time, value)`` readings of the ``KEY`` series."""
     rng = random.Random(seed + start)
     return [
-        Measurement("bandwidth", "a", "b", float(time), rng.uniform(1e7, 1e8))
+        (float(time), rng.uniform(1e7, 1e8))
         for time in range(start, start + count)
     ]
 
 
 def _memory(kind, readings):
     memory = MEMORIES[kind](Simulator(), max_samples_per_series=BOUND)
-    for reading in readings:
-        memory.store(reading)
+    for time, value in readings:
+        memory.store(KEY, time, value)
     return memory
 
 
 def _store_all(memory, readings):
     store = memory.store
-    for reading in readings:
-        store(reading)
+    for time, value in readings:
+        store(KEY, time, value)
     return memory
 
 

@@ -251,16 +251,13 @@ class FederatedNwsMemory:
                 oldest = reading
         return oldest
 
-    def store(self, measurement):
-        """Route a measurement to its source host's regional memory."""
-        memory = self._memories.get(
-            self._region_of.get(measurement.source)
-        )
+    def store(self, key, time, value):
+        """Route a reading to its source host's regional memory."""
+        source = key[1]
+        memory = self._memories.get(self._region_of.get(source))
         if memory is None:
-            raise KeyError(
-                f"no regional memory owns host {measurement.source!r}"
-            )
-        memory.store(measurement)
+            raise KeyError(f"no regional memory owns host {source!r}")
+        memory.store(key, time, value)
 
     def keys(self):
         """Union of every regional memory's stored keys."""

@@ -7,7 +7,7 @@ reproduced here:
   themselves and are looked up by name;
 * :class:`NwsMemory` — persistent storage of measurement series;
 * :class:`Sensor` subclasses — periodic measurement processes for
-  end-to-end bandwidth, latency, CPU availability and free memory.
+  end-to-end bandwidth and CPU availability.
 
 Forecasts come from a battery of simple predictors run in parallel, with
 the historically most accurate one chosen per series — NWS's signature
@@ -27,21 +27,16 @@ from repro.monitoring.nws.nameserver import NameServer
 from repro.monitoring.nws.sensor import (
     BandwidthSensor,
     CpuSensor,
-    FreeMemorySensor,
-    LatencySensor,
     Sensor,
 )
-from repro.monitoring.nws.series import Measurement, series_key
+from repro.monitoring.nws.series import series_key
 
 __all__ = [
     "BandwidthSensor",
     "CpuSensor",
     "ExponentialSmoothing",
     "ForecasterBattery",
-    "FreeMemorySensor",
     "LastValue",
-    "LatencySensor",
-    "Measurement",
     "MedianWindow",
     "NameServer",
     "NwsMemory",

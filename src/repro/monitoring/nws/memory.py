@@ -79,12 +79,11 @@ class NwsMemory:
         """End a stale-reading window; storage resumes."""
         self._frozen = False
 
-    def store(self, measurement):
-        """Ingest one :class:`Measurement` (dropped while frozen)."""
+    def store(self, key, time, value):
+        """Ingest one reading of series ``key`` (dropped while frozen)."""
         if self._frozen:
             self.measurements_dropped += 1
             return
-        key = measurement.key
         record = self._records.get(key)
         if record is None:
             record = self._records[key] = _Series(
@@ -96,7 +95,7 @@ class NwsMemory:
             # arrived, before it is stored.
             prediction, _ = self._caught_up(record).forecast()
             if prediction is not None:
-                resource = measurement.resource
+                resource = key[0]
                 histogram = self._error_histograms.get(resource)
                 if histogram is None:
                     histogram = self.sim.obs.metrics.histogram(
@@ -104,9 +103,9 @@ class NwsMemory:
                         resource=resource,
                     )
                     self._error_histograms[resource] = histogram
-                histogram.observe(abs(prediction - measurement.value))
+                histogram.observe(abs(prediction - value))
         samples = record.samples
-        evicted = samples.append(measurement.time, measurement.value)
+        evicted = samples.append(time, value)
         if evicted is not None and record.unfolded == samples.max_samples:
             # The oldest reading leaves unseen: fold it on its way out,
             # so the battery still sees every reading in order.

@@ -6,19 +6,23 @@ callbacks rather than generator processes.  Two modes per sensor:
 
 * ``phase=None`` (the default): the sensor is driven *solo* — one
   urgent bootstrap ``Event`` at attach, the phase drawn from the
-  sensor's own stream when that bootstrap pops, then one ``Timeout`` per
-  tick.  The bootstrap event and the moment of the phase draw are part
-  of the same-seed trace: event counts, times, priorities and stream
-  draws all follow from them, so the pinned trace digests depend on
-  this exact pattern.
+  sensor's own stream when that bootstrap pops, then one ``Timeout``
+  that the sensor re-arms a period ahead on every tick.  The bootstrap
+  event and the moment of the phase draw are part of the same-seed
+  trace: event counts, times, priorities and stream draws all follow
+  from them, so the pinned trace digests depend on this exact pattern.
+  Re-arming pushes the timer where a new ``Timeout`` would be created,
+  so sequence numbers and event counts are those of one timer per tick
+  (the timer's ``delay`` attribute keeps its first, phase delay).
 * explicit ``phase``: sensors sharing ``(period, phase)`` join one
-  *tick group* — a single ``Timeout`` per period fires them all in
-  attach order (regional monitoring's N-sensors-one-timer mode).
+  *tick group* — a single re-armed ``Timeout`` fires them all in
+  attach order each period (regional monitoring's N-sensors-one-timer
+  mode).
 
 The scheduler itself is per-simulator and created on demand; it holds
-no simulation state beyond its groups, and a sensor leaves the rotation
-by its ``stop()`` raising the ``_driver_stopped`` flag the callbacks
-check.
+no simulation state beyond its groups.  A sensor leaves the rotation
+by its ``stop()``: the ``_driver_stopped`` flag the groups check, and
+for a solo sensor the withdrawal of its queued event.
 """
 
 from weakref import WeakKeyDictionary
@@ -44,7 +48,8 @@ def scheduler_for(sim):
 class _TickGroup:
     """Sensors sharing (period, phase): one Timeout drives them all."""
 
-    __slots__ = ("sim", "period", "phase", "sensors", "ticks")
+    __slots__ = ("sim", "period", "phase", "sensors", "ticks",
+                 "_callbacks")
 
     def __init__(self, sim, period, phase):
         self.sim = sim
@@ -53,13 +58,11 @@ class _TickGroup:
         self.sensors = []
         #: Group ticks fired so far (diagnostics).
         self.ticks = 0
-        self._schedule(phase)
+        self._callbacks = [self._tick]
+        timer = Timeout(sim, phase)
+        timer.callbacks = self._callbacks
 
-    def _schedule(self, delay):
-        timer = Timeout(self.sim, delay)
-        timer.callbacks.append(self._tick)
-
-    def _tick(self, _event):
+    def _tick(self, timer):
         live = [
             sensor for sensor in self.sensors
             if not sensor._driver_stopped
@@ -68,7 +71,8 @@ class _TickGroup:
         self.ticks += 1
         for sensor in live:
             sensor.tick()
-        self._schedule(self.period)
+        timer.callbacks = self._callbacks
+        self.sim.schedule(timer, self.period)
 
 
 class SensorScheduler:
@@ -85,10 +89,10 @@ class SensorScheduler:
     def attach(self, sensor, phase=None):
         """Start driving ``sensor``.
 
-        ``phase=None`` drives it solo (bootstrap event, then one timer
-        per tick); an explicit phase joins the shared ``(period, phase)``
-        tick group, creating it (first tick ``phase`` from now) if
-        needed.
+        ``phase=None`` drives it solo (bootstrap event, then one
+        re-armed timer); an explicit phase joins the shared
+        ``(period, phase)`` tick group, creating it (first tick
+        ``phase`` from now) if needed.
         """
         if phase is None:
             self._attach_solo(sensor)
@@ -111,15 +115,14 @@ class SensorScheduler:
         boot._value = None
         boot.callbacks.append(lambda _ev: self._boot(sensor))
         self.sim.schedule(boot, priority=PRIORITY_URGENT)
+        sensor._solo_event = boot
 
     def _boot(self, sensor):
-        if sensor._driver_stopped:
-            return
         # The phase jitter is drawn from the sensor's own stream when the
         # bootstrap pops, not at attach: moving the draw would reorder
         # stream draws and change the pinned trace digests.  From here
-        # the sensor re-arms itself (one bound callback, reused — no
-        # per-tick closure).
+        # the sensor re-arms this one timer on every tick.
         delay = sensor.stream.uniform(0.0, sensor.period)
         timer = Timeout(self.sim, delay)
-        timer.callbacks.append(sensor._solo_tick_cb)
+        timer.callbacks = sensor._solo_callbacks
+        sensor._solo_event = timer

@@ -1,38 +1,12 @@
-"""Measurement records and series keys."""
+"""Series keys."""
 
-__all__ = ["Measurement", "series_key"]
+__all__ = ["series_key"]
 
 
 def series_key(resource, source, target=None):
     """Canonical key for one monitored quantity.
 
-    End-to-end resources (bandwidth, latency) have both endpoints;
-    host-local resources (cpu, memory) leave ``target`` as None.
+    End-to-end resources (bandwidth) have both endpoints; host-local
+    resources (cpu) leave ``target`` as None.
     """
     return (resource, source, target)
-
-
-class Measurement:
-    """One sensor reading."""
-
-    __slots__ = ("resource", "source", "target", "time", "value")
-
-    def __init__(self, resource, source, target, time, value):
-        self.resource = resource
-        self.source = source
-        self.target = target
-        self.time = float(time)
-        self.value = float(value)
-
-    def __repr__(self):
-        where = self.source if self.target is None else (
-            f"{self.source}->{self.target}"
-        )
-        return (
-            f"<Measurement {self.resource} {where} "
-            f"t={self.time:.2f} v={self.value:.4g}>"
-        )
-
-    @property
-    def key(self):
-        return series_key(self.resource, self.source, self.target)

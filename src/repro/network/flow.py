@@ -189,14 +189,16 @@ class FlowNetwork:
         This mirrors what an NWS bandwidth probe experiences: it contends
         with real traffic but does not disturb it (probes are small).
         Callers that already resolved the route pass it as ``path`` to
-        skip the second lookup.
+        skip the lookup (a bandwidth sensor resolves its own once per
+        topology version).
         """
         if path is None:
             path = self.router.path(src, dst)
-        if path.is_loopback:
+        links = path.links
+        if not links:
             return cap
         return self._solver.probe_rate(
-            [(link.key, link.available_capacity) for link in path.links],
+            [(link.key, link.available_capacity) for link in links],
             cap, self._capacity_of,
         )
 

@@ -50,8 +50,8 @@ class CrossTrafficProcess:
         self.stream = stream or sim.streams.get(
             f"crosstraffic/{link.src}->{link.dst}"
         )
-        #: History of (time, utilisation) jumps, for tests/plots.
-        self.history = []
+        #: Level changes made so far (the first one at start-up).
+        self.jumps = 0
         self.process = sim.process(self._run())
 
     def _run(self):
@@ -62,7 +62,7 @@ class CrossTrafficProcess:
                     level += self.stream.uniform(-self.jitter, self.jitter)
                 level = min(0.95, max(0.0, level))
                 self.link.background_utilisation = level
-                self.history.append((self.sim.now, level))
+                self.jumps += 1
                 self.network.rebalance()
                 yield self.sim.timeout(
                     self.stream.expovariate(1.0 / self.mean_holding_time)

@@ -27,8 +27,8 @@ def _derive_seed(root_seed: int, name: str) -> int:
 class RandomStream:
     """A named, independently seeded source of randomness.
 
-    Thin wrapper around :class:`random.Random` plus a few distributions
-    the grid models need (lognormal clamped, truncated normal, pareto).
+    Thin wrapper around :class:`random.Random` plus the weighted choice
+    the grid models need.
     """
 
     def __init__(self, root_seed: int, name: str) -> None:
@@ -37,6 +37,12 @@ class RandomStream:
 
     def __repr__(self) -> str:
         return f"<RandomStream {self.name!r}>"
+
+    @property
+    def rng(self) -> random.Random:
+        """The underlying generator, for a hot caller that binds one of
+        its methods once (a sensor's noise draw is its ``gauss``)."""
+        return self._rng
 
     def uniform(self, low: float, high: float) -> float:
         return self._rng.uniform(low, high)
@@ -50,24 +56,6 @@ class RandomStream:
 
     def normal(self, mean: float, std: float) -> float:
         return self._rng.gauss(mean, std)
-
-    def truncated_normal(self, mean: float, std: float, low: float,
-                         high: float) -> float:
-        """Normal sample clamped into [low, high].
-
-        Clamping (rather than rejection) keeps the draw count per call
-        constant, which keeps downstream streams aligned across runs even
-        when parameters change.
-        """
-        value = self._rng.gauss(mean, std)
-        return min(high, max(low, value))
-
-    def lognormal(self, mean: float, sigma: float) -> float:
-        return self._rng.lognormvariate(mean, sigma)
-
-    def pareto(self, alpha: float, scale: float = 1.0) -> float:
-        """Pareto sample with shape ``alpha`` and minimum ``scale``."""
-        return scale * self._rng.paretovariate(alpha)
 
     def choice(self, sequence: Sequence[Any]) -> Any:
         return self._rng.choice(sequence)

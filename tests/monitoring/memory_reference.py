@@ -41,11 +41,10 @@ class EagerMemory:
     def thaw(self):
         self._frozen = False
 
-    def store(self, measurement):
+    def store(self, key, time, value):
         if self._frozen:
             self.measurements_dropped += 1
             return
-        key = measurement.key
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = SampleSeries(
@@ -55,7 +54,7 @@ class EagerMemory:
         elif self._obs_on:
             prediction, _ = self._batteries[key].forecast()
             if prediction is not None:
-                resource = measurement.resource
+                resource = key[0]
                 histogram = self._error_histograms.get(resource)
                 if histogram is None:
                     histogram = self.sim.obs.metrics.histogram(
@@ -63,9 +62,11 @@ class EagerMemory:
                         resource=resource,
                     )
                     self._error_histograms[resource] = histogram
-                histogram.observe(abs(prediction - measurement.value))
-        series.append(measurement.time, measurement.value)
-        self._batteries[key].update(measurement.value)
+                histogram.observe(abs(prediction - value))
+        series.append(time, value)
+        # The lazy memory's battery reads values back from the series,
+        # which stores floats.
+        self._batteries[key].update(float(value))
 
     def keys(self):
         return sorted(self._series, key=str)

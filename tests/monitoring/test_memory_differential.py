@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.monitoring.nws import Measurement, NwsMemory, series_key
+from repro.monitoring.nws import NwsMemory, series_key
 from repro.monitoring.nws.forecasting import (
     ExponentialSmoothing,
     Forecaster,
@@ -122,10 +122,7 @@ def _outcome(call):
 
 
 def _store_outcome(memory, key, time, value):
-    resource, source, target = key
-    return _outcome(lambda: memory.store(
-        Measurement(resource, source, target, time, value)
-    ))
+    return _outcome(lambda: memory.store(key, time, value))
 
 
 def _assert_same(lazy, eager, script, accepted):
@@ -194,14 +191,10 @@ def test_lazy_memory_matches_eager_reference(script, bound, factory, observe):
 KEY = KEYS[0]
 
 
-def _reading(time, value):
-    return Measurement("bandwidth", "a", "b", float(time), value)
-
-
 def test_store_folds_nothing_until_asked():
     memory = NwsMemory(Simulator(), max_samples_per_series=4)
     for time in range(4):
-        memory.store(_reading(time, float(time)))
+        memory.store(KEY, time, float(time))
     assert memory.folded == 0
     assert memory.battery(KEY).observations == 4
     assert memory.folded == 4
@@ -212,22 +205,22 @@ def test_store_folds_nothing_until_asked():
 def test_eviction_folds_only_the_unseen_reading():
     memory = NwsMemory(Simulator(), max_samples_per_series=3)
     for time in range(5):
-        memory.store(_reading(time, float(time)))
+        memory.store(KEY, time, float(time))
     # Readings 0 and 1 left the full, never-queried series unseen.
     assert memory.folded == 2
     assert memory.series(KEY).values() == [2.0, 3.0, 4.0]
     assert memory.battery(KEY).observations == 5
     # Caught up: the next eviction drops a reading already folded.
-    memory.store(_reading(5, 5.0))
+    memory.store(KEY, 5, 5.0)
     assert memory.folded == 5
 
 
 def test_rejected_store_leaves_the_battery_untouched():
     memory = NwsMemory(Simulator(), max_samples_per_series=2)
-    memory.store(_reading(5.0, 1.0))
-    memory.store(_reading(6.0, 2.0))
+    memory.store(KEY, 5.0, 1.0)
+    memory.store(KEY, 6.0, 2.0)
     with pytest.raises(ValueError):
-        memory.store(_reading(4.0, 3.0))
+        memory.store(KEY, 4.0, 3.0)
     assert memory.folded == 0
     assert memory.series(KEY).values() == [1.0, 2.0]
     assert memory.battery(KEY).observations == 2

@@ -16,27 +16,49 @@ def make_net(capacity=1000.0):
     return sim, topo, FlowNetwork(sim, topo)
 
 
+def record_levels(net, link):
+    """The link's background utilisation at every jump.
+
+    Each jump sets the level and then rebalances the network once, so
+    sampling the link inside ``rebalance`` sees every level set.
+    """
+    levels = []
+    rebalance = net.rebalance
+
+    def recording_rebalance():
+        levels.append(link.background_utilisation)
+        rebalance()
+
+    net.rebalance = recording_rebalance
+    return levels
+
+
 def test_cross_traffic_changes_utilisation_over_time():
     sim, topo, net = make_net()
     link = topo.link("a", "b")
+    seen = record_levels(net, link)
     proc = CrossTrafficProcess(
         sim, net, link, levels=[0.1, 0.5, 0.8], mean_holding_time=10.0
     )
     sim.run(until=200.0)
-    levels = {round(u, 1) for _, u in proc.history}
-    assert len(proc.history) > 5
+    assert len(seen) == proc.jumps
+    levels = {round(u, 1) for u in seen}
+    assert proc.jumps > 5
     assert levels <= {0.1, 0.5, 0.8}
     assert len(levels) > 1  # actually moved between levels
 
 
 def test_cross_traffic_jitter_stays_in_bounds():
     sim, topo, net = make_net()
+    link = topo.link("a", "b")
+    seen = record_levels(net, link)
     proc = CrossTrafficProcess(
-        sim, net, topo.link("a", "b"),
+        sim, net, link,
         levels=[0.5], mean_holding_time=5.0, jitter=0.2,
     )
     sim.run(until=100.0)
-    for _, level in proc.history:
+    assert len(seen) == proc.jumps > 0
+    for level in seen:
         assert 0.0 <= level <= 0.95
 
 
@@ -60,9 +82,9 @@ def test_cross_traffic_stop_halts_jumps():
     sim.run(until=10.0)
     proc.stop()
     sim.run(until=30.0)
-    count = len(proc.history)
+    count = proc.jumps
     sim.run(until=100.0)
-    assert len(proc.history) == count
+    assert proc.jumps == count
 
 
 def test_cross_traffic_validation():

@@ -14,7 +14,6 @@ The paper's cost model consumes the CPU idle percentage (``CPU_P``);
 """
 
 from repro.hosts.reslink import ResourceChannel
-from repro.timeseries import StepSeries
 
 __all__ = ["CPU"]
 
@@ -53,8 +52,6 @@ class CPU:
         self.transfer_cost_per_byte = float(transfer_cost_per_byte)
         self.min_transfer_cores = float(min_transfer_cores)
         self._background_busy = 0.0
-        #: Piecewise-constant history of background busy cores.
-        self.background_series = StepSeries(sim.now, 0.0)
         self.channel = ResourceChannel(
             f"cpu/{name}", self._transfer_capacity
         )
@@ -76,7 +73,6 @@ class CPU:
         if cores_busy < 0:
             raise ValueError("cores_busy must be non-negative")
         self._background_busy = min(float(cores_busy), float(self.cores))
-        self.background_series.append(self.sim.now, self._background_busy)
 
     # -- observables ---------------------------------------------------------
 

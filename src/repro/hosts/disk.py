@@ -11,7 +11,6 @@ observable.
 """
 
 from repro.hosts.reslink import ResourceChannel
-from repro.timeseries import StepSeries
 
 __all__ = ["Disk"]
 
@@ -33,8 +32,6 @@ class Disk:
         self.capacity_bytes = float(capacity_bytes)
         self.min_transfer_fraction = float(min_transfer_fraction)
         self._background_util = 0.0
-        #: Piecewise-constant history of background utilisation.
-        self.background_series = StepSeries(sim.now, 0.0)
         self.channel = ResourceChannel(
             f"disk/{name}", self._transfer_capacity
         )
@@ -58,7 +55,6 @@ class Disk:
                 f"background utilisation must be in [0, 1): {fraction}"
             )
         self._background_util = float(fraction)
-        self.background_series.append(self.sim.now, self._background_util)
 
     # -- observables ---------------------------------------------------------
 

@@ -1,65 +1,34 @@
 """Background load generators for CPUs and disks.
 
-Both are Markov-modulated processes, like the network's
-:class:`CrossTrafficProcess`: they hold a level for an exponentially
-distributed time, then jump to a random level.  Each jump calls a
-``notify`` callback (normally ``FlowNetwork.rebalance``) because changed
-CPU/disk headroom changes transfer rates.
+Both are Markov-modulated, like the network's
+:class:`CrossTrafficProcess` (see :mod:`repro.sim.modulated`): they
+hold a level for an exponentially distributed time, then jump to a
+random level.  Each jump calls a ``notify`` callback (normally
+``FlowNetwork.rebalance``) because changed CPU/disk headroom changes
+transfer rates.
 """
 
-from repro.sim import Interrupt
+from repro.sim.modulated import MarkovModulated
 
 __all__ = ["CPULoadGenerator", "DiskLoadGenerator"]
 
 
-class _MarkovLoadGenerator:
-    """Shared machinery: jump among levels at exponential holding times."""
+class _MarkovLoadGenerator(MarkovModulated):
+    """Apply each level through a setter, then ``notify``."""
 
-    def __init__(self, sim, levels, mean_holding_time, stream_name,
-                 stream=None, notify=None, jitter=0.0):
-        if not levels:
-            raise ValueError("need at least one load level")
-        if mean_holding_time <= 0:
-            raise ValueError("mean_holding_time must be positive")
-        if jitter < 0:
-            raise ValueError("jitter must be non-negative")
-        self.sim = sim
-        self.levels = list(levels)
-        self.mean_holding_time = float(mean_holding_time)
-        self.jitter = float(jitter)
-        self.stream = stream or sim.streams.get(stream_name)
+    def __init__(self, sim, levels, mean_holding_time, setter, stream,
+                 notify, jitter, ceiling):
         self.notify = notify
-        #: (time, level) jump log.
-        self.history = []
-        self.process = sim.process(self._run())
+        self._set = setter
+        super().__init__(
+            sim, levels, mean_holding_time, stream,
+            jitter=jitter, ceiling=ceiling,
+        )
 
-    def _apply(self, level):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _clamp(self, level):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _run(self):
-        try:
-            while True:
-                level = self.stream.choice(self.levels)
-                if self.jitter > 0.0:
-                    level += self.stream.uniform(-self.jitter, self.jitter)
-                level = self._clamp(level)
-                self._apply(level)
-                self.history.append((self.sim.now, level))
-                if self.notify is not None:
-                    self.notify()
-                yield self.sim.timeout(
-                    self.stream.expovariate(1.0 / self.mean_holding_time)
-                )
-        except Interrupt:
-            return
-
-    def stop(self):
-        """Stop generating load changes (last level stays applied)."""
-        if self.process.is_alive:
-            self.process.interrupt(cause="stopped")
+    def _apply(self, level):
+        self._set(level)
+        if self.notify is not None:
+            self.notify()
 
 
 class CPULoadGenerator(_MarkovLoadGenerator):
@@ -75,16 +44,10 @@ class CPULoadGenerator(_MarkovLoadGenerator):
             if level < 0:
                 raise ValueError(f"negative CPU load level {level}")
         super().__init__(
-            sim, levels, mean_holding_time,
-            stream_name=f"cpuload/{cpu.name}",
-            stream=stream, notify=notify, jitter=jitter,
+            sim, levels, mean_holding_time, cpu.set_background_busy,
+            stream or sim.streams.get(f"cpuload/{cpu.name}"),
+            notify, jitter, float(cpu.cores),
         )
-
-    def _clamp(self, level):
-        return min(float(self.cpu.cores), max(0.0, level))
-
-    def _apply(self, level):
-        self.cpu.set_background_busy(level)
 
 
 class DiskLoadGenerator(_MarkovLoadGenerator):
@@ -100,13 +63,7 @@ class DiskLoadGenerator(_MarkovLoadGenerator):
             if not 0.0 <= level < 1.0:
                 raise ValueError(f"disk load level out of range: {level}")
         super().__init__(
-            sim, levels, mean_holding_time,
-            stream_name=f"diskload/{disk.name}",
-            stream=stream, notify=notify, jitter=jitter,
+            sim, levels, mean_holding_time, disk.set_background_utilisation,
+            stream or sim.streams.get(f"diskload/{disk.name}"),
+            notify, jitter, 0.95,
         )
-
-    def _clamp(self, level):
-        return min(0.95, max(0.0, level))
-
-    def _apply(self, level):
-        self.disk.set_background_utilisation(level)

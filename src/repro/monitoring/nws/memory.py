@@ -8,7 +8,8 @@ seen when someone asks for the series' forecast or battery, one
 ``ForecasterBattery.update`` per value in arrival order, so forecasts
 are exactly those of a battery fed on every arrival.  Most series are
 never forecast (a selection only asks for its own client's paths), so
-most of them cost one append per reading until their bound fills.
+most of them cost one append per reading until their bound fills, and
+the battery itself is only built at a series' first fold.
 
 The readings not yet folded are the tail of the series itself.  When
 the bound evicts a reading the battery has not seen, that one reading
@@ -28,14 +29,14 @@ _ERROR_BUCKETS = exponential_buckets(1e-6, 10.0, 12)
 
 
 class _Series:
-    """One key's readings, its battery and how many readings (the
-    newest ones) the battery has not folded yet."""
+    """One key's readings, its battery (None until the first fold) and
+    how many readings (the newest ones) the battery has not folded yet."""
 
     __slots__ = ("samples", "battery", "unfolded")
 
-    def __init__(self, samples, battery):
+    def __init__(self, samples):
         self.samples = samples
-        self.battery = battery
+        self.battery = None
         self.unfolded = 0
 
 
@@ -87,8 +88,7 @@ class NwsMemory:
         record = self._records.get(key)
         if record is None:
             record = self._records[key] = _Series(
-                SampleSeries(max_samples=self.max_samples_per_series),
-                ForecasterBattery(self._battery_factory()),
+                SampleSeries(max_samples=self.max_samples_per_series)
             )
         elif self._obs_on:
             # Score the previous forecast against the reading that just
@@ -109,7 +109,10 @@ class NwsMemory:
         if evicted is not None and record.unfolded == samples.max_samples:
             # The oldest reading leaves unseen: fold it on its way out,
             # so the battery still sees every reading in order.
-            record.battery.update(evicted)
+            battery = record.battery
+            if battery is None:
+                battery = record.battery = self._new_battery()
+            battery.update(evicted)
             self.folded += 1
         else:
             record.unfolded += 1
@@ -117,6 +120,8 @@ class NwsMemory:
     def _caught_up(self, record):
         """Fold ``record``'s unseen readings; returns its battery."""
         battery = record.battery
+        if battery is None:
+            battery = record.battery = self._new_battery()
         unfolded = record.unfolded
         if unfolded:
             update = battery.update
@@ -125,6 +130,9 @@ class NwsMemory:
             record.unfolded = 0
             self.folded += unfolded
         return battery
+
+    def _new_battery(self):
+        return ForecasterBattery(self._battery_factory())
 
     def keys(self):
         """All stored series keys."""

@@ -7,12 +7,12 @@ at exponential holding times.  This stands for campus/Internet traffic
 that is not simulated flow-by-flow.
 """
 
-from repro.sim import Interrupt
+from repro.sim.modulated import MarkovModulated
 
 __all__ = ["CrossTrafficProcess"]
 
 
-class CrossTrafficProcess:
+class CrossTrafficProcess(MarkovModulated):
     """Markov-modulated background utilisation on one link.
 
     Parameters
@@ -34,43 +34,17 @@ class CrossTrafficProcess:
 
     def __init__(self, sim, network, link, levels, mean_holding_time,
                  stream=None, jitter=0.0):
-        if not levels:
-            raise ValueError("need at least one utilisation level")
         for level in levels:
             if not 0.0 <= level < 1.0:
                 raise ValueError(f"utilisation level out of range: {level}")
-        if mean_holding_time <= 0:
-            raise ValueError("mean_holding_time must be positive")
-        self.sim = sim
         self.network = network
         self.link = link
-        self.levels = list(levels)
-        self.mean_holding_time = float(mean_holding_time)
-        self.jitter = float(jitter)
-        self.stream = stream or sim.streams.get(
-            f"crosstraffic/{link.src}->{link.dst}"
+        super().__init__(
+            sim, levels, mean_holding_time,
+            stream or sim.streams.get(f"crosstraffic/{link.src}->{link.dst}"),
+            jitter=jitter, ceiling=0.95,
         )
-        #: Level changes made so far (the first one at start-up).
-        self.jumps = 0
-        self.process = sim.process(self._run())
 
-    def _run(self):
-        try:
-            while True:
-                level = self.stream.choice(self.levels)
-                if self.jitter > 0.0:
-                    level += self.stream.uniform(-self.jitter, self.jitter)
-                level = min(0.95, max(0.0, level))
-                self.link.background_utilisation = level
-                self.jumps += 1
-                self.network.rebalance()
-                yield self.sim.timeout(
-                    self.stream.expovariate(1.0 / self.mean_holding_time)
-                )
-        except Interrupt:
-            return
-
-    def stop(self):
-        """Stop modulating (leaves the last level in place)."""
-        if self.process.is_alive:
-            self.process.interrupt(cause="stopped")
+    def _apply(self, level):
+        self.link.background_utilisation = level
+        self.network.rebalance()

@@ -1,92 +1,15 @@
-"""Time-series utilities shared by host counters, monitors and reports.
+"""Time-series utilities shared by monitors and reports.
 
-Two flavours:
-
-* :class:`StepSeries` — a piecewise-constant signal (CPU busy fraction,
-  link utilisation, ...).  Supports exact integrals and time-weighted
-  means over any window (host background-load histories).
-* :class:`SampleSeries` — discrete measurement samples (NWS sensor
-  readings, per-site cost values).  Supports windowed views, means and
-  summary statistics, which is what the NWS memory and the Fig. 5 cost
-  display need.
+:class:`SampleSeries` holds discrete measurement samples (NWS sensor
+readings, per-site cost values).  It supports windowed views, means and
+summary statistics, which is what the NWS memory and the Fig. 5 cost
+display need.
 """
 
 import bisect
 import math
 
-__all__ = ["SampleSeries", "StepSeries"]
-
-
-class StepSeries:
-    """A piecewise-constant function of time.
-
-    ``append(t, v)`` declares that the signal holds value ``v`` from time
-    ``t`` until the next breakpoint.  Times must be non-decreasing.
-    """
-
-    def __init__(self, initial_time=0.0, initial_value=0.0):
-        self._times = [float(initial_time)]
-        self._values = [float(initial_value)]
-        # _cumulative[i] = integral of the signal over [t0, times[i]].
-        self._cumulative = [0.0]
-
-    def __repr__(self):
-        return f"<StepSeries {len(self._times)} breakpoints>"
-
-    def __len__(self):
-        return len(self._times)
-
-    def append(self, time, value):
-        """Add a breakpoint; the signal becomes ``value`` at ``time``."""
-        time = float(time)
-        last_time = self._times[-1]
-        if time < last_time:
-            raise ValueError(
-                f"non-monotone breakpoint: {time} < {last_time}"
-            )
-        if time == last_time:
-            # Overwrite the value declared at the same instant.
-            self._values[-1] = float(value)
-            return
-        segment = self._values[-1] * (time - last_time)
-        self._times.append(time)
-        self._values.append(float(value))
-        self._cumulative.append(self._cumulative[-1] + segment)
-
-    @property
-    def current_value(self):
-        return self._values[-1]
-
-    @property
-    def start_time(self):
-        return self._times[0]
-
-    def value_at(self, time):
-        """Signal value at ``time`` (clamped to the defined range)."""
-        if time <= self._times[0]:
-            return self._values[0]
-        index = bisect.bisect_right(self._times, time) - 1
-        return self._values[index]
-
-    def integral(self, t0, t1):
-        """Exact integral of the signal over [t0, t1]."""
-        if t1 < t0:
-            raise ValueError(f"reversed window [{t0}, {t1}]")
-        return self._integral_to(t1) - self._integral_to(t0)
-
-    def mean(self, t0, t1):
-        """Time-weighted mean over [t0, t1]."""
-        if t1 <= t0:
-            return self.value_at(t0)
-        return self.integral(t0, t1) / (t1 - t0)
-
-    def _integral_to(self, time):
-        if time <= self._times[0]:
-            return 0.0
-        index = bisect.bisect_right(self._times, time) - 1
-        return self._cumulative[index] + self._values[index] * (
-            time - self._times[index]
-        )
+__all__ = ["SampleSeries"]
 
 
 class SampleSeries:

@@ -47,14 +47,6 @@ class TestCPU:
         fast = CPU(Simulator(), "f", frequency_ghz=2.8)
         assert slow.transfer_cost_per_byte > fast.transfer_cost_per_byte
 
-    def test_background_history_recorded(self):
-        sim = Simulator()
-        cpu = CPU(sim, "h", cores=4)
-        sim.run(until=10.0)
-        cpu.set_background_busy(2.0)
-        assert cpu.background_series.value_at(11.0) == 2.0
-        assert cpu.background_series.value_at(5.0) == 0.0
-
     def test_validation(self):
         sim = Simulator()
         with pytest.raises(ValueError):

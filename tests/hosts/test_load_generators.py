@@ -6,17 +6,36 @@ from repro.hosts import CPU, CPULoadGenerator, Disk, DiskLoadGenerator
 from repro.sim import Simulator
 
 
+def recording_notify(sim, read_level):
+    """A ``notify`` that samples ``(time, level)`` at every jump.
+
+    Each jump applies its level and then calls ``notify`` once, so the
+    samples are the generator's jumps in order.
+    """
+    samples = []
+
+    def notify():
+        samples.append((sim.now, read_level()))
+
+    return samples, notify
+
+
 def test_cpu_load_jumps_between_levels():
     sim = Simulator(seed=1)
     cpu = CPU(sim, "h", cores=4)
+    history, notify = recording_notify(
+        sim, lambda: cpu.background_busy_cores
+    )
     gen = CPULoadGenerator(
-        sim, cpu, levels=[0.0, 1.0, 3.0], mean_holding_time=5.0
+        sim, cpu, levels=[0.0, 1.0, 3.0], mean_holding_time=5.0,
+        notify=notify,
     )
     sim.run(until=200.0)
-    seen = {level for _, level in gen.history}
-    assert len(gen.history) > 10
+    assert len(history) == gen.jumps
+    seen = {level for _, level in history}
+    assert len(history) > 10
     assert len(seen) > 1
-    for _, level in gen.history:
+    for _, level in history:
         assert 0.0 <= level <= 4.0
 
 
@@ -45,17 +64,22 @@ def test_notify_called_on_each_jump():
         notify=lambda: calls.append(sim.now),
     )
     sim.run(until=20.0)
-    assert len(calls) == len(gen.history)
+    assert len(calls) == gen.jumps > 0
 
 
 def test_jitter_stays_clamped():
     sim = Simulator(seed=3)
     disk = Disk(sim, "h", bandwidth=1e6, capacity_bytes=1e9)
+    history, notify = recording_notify(
+        sim, lambda: disk.background_utilisation
+    )
     gen = DiskLoadGenerator(
-        sim, disk, levels=[0.9], mean_holding_time=1.0, jitter=0.3
+        sim, disk, levels=[0.9], mean_holding_time=1.0, jitter=0.3,
+        notify=notify,
     )
     sim.run(until=50.0)
-    for _, level in gen.history:
+    assert len(history) == gen.jumps > 0
+    for _, level in history:
         assert 0.0 <= level <= 0.95
 
 
@@ -68,9 +92,11 @@ def test_stop_freezes_level():
     sim.run(until=5.0)
     gen.stop()
     sim.run(until=6.0)
-    jumps = len(gen.history)
+    jumps = gen.jumps
+    level = cpu.background_busy_cores
     sim.run(until=50.0)
-    assert len(gen.history) == jumps
+    assert gen.jumps == jumps
+    assert cpu.background_busy_cores == level
 
 
 def test_generator_determinism():
@@ -78,11 +104,16 @@ def test_generator_determinism():
     for _ in range(2):
         sim = Simulator(seed=9)
         cpu = CPU(sim, "h", cores=2)
+        history, notify = recording_notify(
+            sim, lambda cpu=cpu: cpu.background_busy_cores
+        )
         gen = CPULoadGenerator(
-            sim, cpu, levels=[0.0, 2.0], mean_holding_time=3.0
+            sim, cpu, levels=[0.0, 2.0], mean_holding_time=3.0,
+            notify=notify,
         )
         sim.run(until=100.0)
-        histories.append(gen.history)
+        assert len(history) == gen.jumps > 0
+        histories.append(history)
     assert histories[0] == histories[1]
 
 

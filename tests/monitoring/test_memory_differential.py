@@ -224,3 +224,67 @@ def test_rejected_store_leaves_the_battery_untouched():
     assert memory.folded == 0
     assert memory.series(KEY).values() == [1.0, 2.0]
     assert memory.battery(KEY).observations == 2
+
+
+def _counting_factory():
+    """A default battery factory that counts its calls."""
+    built = []
+
+    def factory():
+        built.append(1)
+        return default_battery()
+
+    return factory, built
+
+
+def test_unqueried_series_builds_no_battery():
+    factory, built = _counting_factory()
+    memory = NwsMemory(
+        Simulator(), max_samples_per_series=4, battery_factory=factory,
+    )
+    for time in range(4):
+        for key in KEYS[:3]:
+            memory.store(key, time, float(time))
+    # Reading the raw series answers nothing from a battery.
+    memory.latest(KEY)
+    memory.series(KEY)
+    assert memory.forecast(KEYS[3]) == (None, None)
+    assert built == []
+    assert memory.folded == 0
+
+
+@pytest.mark.parametrize("first_fold", [
+    "forecast", "battery", "unseen eviction", "observed store",
+])
+def test_first_fold_builds_one_battery(first_fold):
+    factory, built = _counting_factory()
+    memory = NwsMemory(
+        Simulator(observe=first_fold == "observed store"),
+        max_samples_per_series=3, battery_factory=factory,
+    )
+    stored = 0
+
+    def store():
+        nonlocal stored
+        memory.store(KEY, stored, float(stored))
+        stored += 1
+
+    store()
+    assert built == []
+    if first_fold == "forecast":
+        memory.forecast(KEY)
+    elif first_fold == "battery":
+        memory.battery(KEY)
+    elif first_fold == "unseen eviction":
+        for _ in range(3):
+            store()
+        assert memory.folded == 1
+    else:
+        store()
+    assert len(built) == 1
+    # Later folds, queries and evictions reuse that battery.
+    for _ in range(6):
+        store()
+        memory.forecast(KEY)
+    assert memory.battery(KEY).observations == memory.folded == stored
+    assert len(built) == 1

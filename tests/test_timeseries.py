@@ -1,4 +1,4 @@
-"""Tests for StepSeries and SampleSeries."""
+"""Tests for SampleSeries."""
 
 import math
 
@@ -6,82 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.timeseries import SampleSeries, StepSeries
-
-
-class TestStepSeries:
-    def test_initial_value_everywhere(self):
-        series = StepSeries(0.0, 5.0)
-        assert series.value_at(0.0) == 5.0
-        assert series.value_at(100.0) == 5.0
-
-    def test_value_at_follows_breakpoints(self):
-        series = StepSeries(0.0, 1.0)
-        series.append(10.0, 2.0)
-        series.append(20.0, 3.0)
-        assert series.value_at(5.0) == 1.0
-        assert series.value_at(10.0) == 2.0
-        assert series.value_at(15.0) == 2.0
-        assert series.value_at(25.0) == 3.0
-
-    def test_value_before_start_clamps(self):
-        series = StepSeries(10.0, 7.0)
-        assert series.value_at(0.0) == 7.0
-
-    def test_integral_over_constant(self):
-        series = StepSeries(0.0, 2.0)
-        assert series.integral(0.0, 10.0) == pytest.approx(20.0)
-
-    def test_integral_across_breakpoints(self):
-        series = StepSeries(0.0, 1.0)
-        series.append(10.0, 3.0)
-        # [0,10): 1.0, [10,20): 3.0
-        assert series.integral(5.0, 15.0) == pytest.approx(5.0 + 15.0)
-
-    def test_mean_is_time_weighted(self):
-        series = StepSeries(0.0, 0.0)
-        series.append(10.0, 1.0)
-        assert series.mean(0.0, 20.0) == pytest.approx(0.5)
-
-    def test_mean_of_empty_window_is_value(self):
-        series = StepSeries(0.0, 4.0)
-        assert series.mean(3.0, 3.0) == 4.0
-
-    def test_same_instant_append_overwrites(self):
-        series = StepSeries(0.0, 1.0)
-        series.append(5.0, 2.0)
-        series.append(5.0, 9.0)
-        assert series.value_at(6.0) == 9.0
-        assert series.integral(0.0, 10.0) == pytest.approx(5 * 1 + 5 * 9)
-
-    def test_non_monotone_append_rejected(self):
-        series = StepSeries(0.0, 0.0)
-        series.append(5.0, 1.0)
-        with pytest.raises(ValueError):
-            series.append(4.0, 2.0)
-
-    def test_reversed_integral_window_rejected(self):
-        series = StepSeries(0.0, 1.0)
-        with pytest.raises(ValueError):
-            series.integral(5.0, 4.0)
-
-    @given(
-        st.lists(
-            st.tuples(st.floats(0.01, 10.0), st.floats(-5.0, 5.0)),
-            min_size=1, max_size=20,
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_integral_additive(self, steps):
-        series = StepSeries(0.0, 0.0)
-        t = 0.0
-        for dt, value in steps:
-            t += dt
-            series.append(t, value)
-        mid = t / 2
-        total = series.integral(0.0, t)
-        split = series.integral(0.0, mid) + series.integral(mid, t)
-        assert total == pytest.approx(split, abs=1e-9)
+from repro.timeseries import SampleSeries
 
 
 class TestSampleSeries:

@@ -17,7 +17,7 @@ the reference loop kept under ``tests/network/``.
 ``test_bench_churn`` times what the flow network does on every flow
 change of the frontdoor component — one ``remove_flow``, one
 ``add_flow`` and one ``rates()`` — against a fresh solver per change
-(:func:`~repro.network.fairness.max_min_allocation` over the live
+(:func:`~tests.network.fairness.max_min_allocation` over the live
 flows, which builds every link entry and the component anew and fills
 it).  Both pairs must agree bit-for-bit.  Run with ``PYTHONPATH=src python -m
 pytest benchmarks/test_bench_fairshare.py --benchmark-only``.
@@ -29,7 +29,7 @@ from collections import deque
 
 import pytest
 
-from repro.network.fairness import FlowDemand, max_min_allocation
+from tests.network.fairness import FlowDemand, max_min_allocation
 from repro.network.solver import IncrementalMaxMinSolver
 from tests.network.fill_reference import reference_fill_component
 

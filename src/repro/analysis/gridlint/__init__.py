@@ -2,8 +2,10 @@
 
 The rule catalog lives in :mod:`repro.analysis.gridlint.rules` (GL001
 wall-clock, GL002 rogue RNG, GL003 unordered iteration, GL004 inline
-unit arithmetic, GL005 mutable defaults, GL006 swallowed exceptions);
-the engine, pragma handling and output formats are documented in
+unit arithmetic, GL005 mutable defaults, GL006 swallowed exceptions,
+GL007 raw data-channel use); the whole-program rules (GL101-GL103,
+GL105) live in :mod:`repro.analysis.gridlint.program`.  The pipeline,
+pragma handling and output formats are documented in
 ``docs/static_analysis.md``.
 
 Programmatic use::
@@ -20,7 +22,6 @@ Command line::
 from repro.analysis.gridlint.cli import main
 from repro.analysis.gridlint.engine import (
     collect_files,
-    lint_file,
     lint_paths,
     lint_source,
 )
@@ -33,7 +34,6 @@ __all__ = [
     "Finding",
     "RULES",
     "collect_files",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "main",

@@ -1,15 +1,29 @@
-"""File walking, parsing and pragma application for gridlint."""
+"""The gridlint pipeline: walk, parse once, lint, apply pragmas.
+
+:func:`lint_paths` reads each file once and parses it once.  The one
+tree feeds the file-local rules (GL001-GL007), the pragma table and the
+program-fact extraction; the facts of every parsed module then form the
+:class:`~repro.analysis.gridlint.program.project.ProjectModel` the
+interprocedural rules (GL101-GL103, GL105) run over.
+"""
 
 from __future__ import annotations
 
 import ast
 import os
+from typing import Iterable, Sequence
 
 from repro.analysis.gridlint.findings import Finding
-from repro.analysis.gridlint.pragmas import parse_pragmas
+from repro.analysis.gridlint.pragmas import PragmaMap, parse_pragmas
+from repro.analysis.gridlint.program.dimensions import check_gl102
+from repro.analysis.gridlint.program.guards import check_gl103
+from repro.analysis.gridlint.program.model import ModuleInfo, extract_module
+from repro.analysis.gridlint.program.project import ProjectModel
+from repro.analysis.gridlint.program.retries import check_gl105
+from repro.analysis.gridlint.program.taint import check_gl101
 from repro.analysis.gridlint.rules import FileContext, check_tree
 
-__all__ = ["collect_files", "lint_file", "lint_paths", "lint_source"]
+__all__ = ["collect_files", "lint_paths", "lint_source"]
 
 #: Directory names never descended into.
 _SKIP_DIRS = {
@@ -18,7 +32,7 @@ _SKIP_DIRS = {
 }
 
 
-def collect_files(paths):
+def collect_files(paths: Iterable[str]) -> list[str]:
     """Expand files/directories into a sorted list of ``.py`` files."""
     out = []
     for path in paths:
@@ -36,7 +50,7 @@ def collect_files(paths):
     return sorted(set(out))
 
 
-def _context_for(path):
+def _context_for(path: str) -> FileContext:
     normalized = path.replace(os.sep, "/")
     return FileContext(
         path,
@@ -46,62 +60,92 @@ def _context_for(path):
     )
 
 
-def lint_source(source, path="<string>", context=None, respect_pragmas=True):
-    """Lint python source text; returns a list of Findings."""
-    context = context or _context_for(path)
+def _lint_module(
+    source: str, path: str, context: FileContext | None = None,
+) -> tuple[ast.Module | None, list[Finding], PragmaMap]:
+    """The per-file step: one parse, the file-local rules, the pragmas.
+
+    An unparsable file yields no tree, a single GL000 finding and an
+    empty pragma table, so a parse error is never suppressed.
+    """
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
-        return [Finding(
+        return None, [Finding(
             path=path, line=error.lineno or 1, col=error.offset or 0,
             code="GL000", message=f"syntax error: {error.msg}",
-        )]
-    findings = check_tree(tree, context)
-    if respect_pragmas and findings:
-        pragmas = parse_pragmas(source.splitlines())
-        if pragmas:
-            pragmas.expand_multiline(tree)
-            findings = [
-                f for f in findings
-                if not pragmas.suppresses(f.line, f.code)
-            ]
+        )], PragmaMap()
+    findings = check_tree(tree, context or _context_for(path))
+    pragmas = parse_pragmas(source.splitlines())
+    pragmas.expand_multiline(tree)
+    return tree, findings, pragmas
+
+
+def lint_source(
+    source: str,
+    path: str = "<string>",
+    context: FileContext | None = None,
+    respect_pragmas: bool = True,
+) -> list[Finding]:
+    """File-local findings for python source text, sorted."""
+    _, findings, pragmas = _lint_module(source, path, context)
+    if respect_pragmas:
+        findings = [
+            f for f in findings if not pragmas.suppresses(f.line, f.code)
+        ]
     return sorted(findings)
 
 
-def lint_file(path, respect_pragmas=True):
-    """Lint one file from disk."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            source = handle.read()
-    except (OSError, UnicodeDecodeError) as error:
-        return [Finding(
-            path=str(path), line=1, col=0, code="GL000",
-            message=f"cannot read file: {error}",
-        )]
-    return lint_source(
-        source, path=str(path), context=_context_for(str(path)),
-        respect_pragmas=respect_pragmas,
-    )
-
-
-def lint_paths(paths, select=None, ignore=None, respect_pragmas=True):
-    """Lint files and directories; returns sorted Findings.
+def lint_paths(
+    paths: Sequence[str],
+    *,
+    select: Iterable[str] | None = None,
+    ignore: Iterable[str] | None = None,
+    respect_pragmas: bool = True,
+) -> list[Finding]:
+    """Lint files and directories with every rule; sorted Findings.
 
     ``select``/``ignore`` are iterables of rule codes; ``select`` keeps
-    only those codes, ``ignore`` drops them (GL000 parse errors always
-    survive both).
+    only those codes, ``ignore`` drops them (GL000 read and parse
+    errors always survive both).
     """
-    select = set(select) if select else None
-    ignore = set(ignore or ())
-    findings = []
+    findings: list[Finding] = []
+    pragmas: dict[str, PragmaMap] = {}
+    modules: dict[str, ModuleInfo] = {}
     for path in collect_files(paths):
-        for finding in lint_file(path, respect_pragmas=respect_pragmas):
-            if finding.code == "GL000":
-                findings.append(finding)
-            elif select is not None and finding.code not in select:
+        try:
+            with open(path, "rb") as handle:
+                source = handle.read().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as error:
+            findings.append(Finding(
+                path=path, line=1, col=0, code="GL000",
+                message=f"cannot read file: {error}",
+            ))
+            continue
+        tree, local, pragmas[path] = _lint_module(source, path)
+        findings.extend(local)
+        if tree is not None:
+            # Two files mapping to one module name: the later one wins.
+            info = extract_module(path, tree)
+            modules[info.module] = info
+    model = ProjectModel(modules[name] for name in sorted(modules))
+    # Each rule reports a module's findings at that module's path; at
+    # one location they rank file-local, GL101, GL102, GL105, GL103.
+    for check in (check_gl101, check_gl102, check_gl105, check_gl103):
+        for found in check(model).values():
+            findings.extend(found)
+
+    selected = set(select) if select else None
+    ignored = set(ignore or ())
+    kept = []
+    for finding in findings:
+        if finding.code != "GL000":
+            if selected is not None and finding.code not in selected:
                 continue
-            elif finding.code in ignore:
+            if finding.code in ignored:
                 continue
-            else:
-                findings.append(finding)
-    return sorted(findings)
+            if respect_pragmas and pragmas[finding.path].suppresses(
+                    finding.line, finding.code):
+                continue
+        kept.append(finding)
+    return sorted(kept)

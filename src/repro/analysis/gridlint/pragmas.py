@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Any
 
 __all__ = ["PragmaMap", "parse_pragmas"]
 
@@ -53,12 +52,6 @@ class PragmaMap:
         if line in self.line_all:
             return True
         return code in self.line_codes.get(line, ())
-
-    def __bool__(self) -> bool:
-        return bool(
-            self.file_all or self.file_codes
-            or self.line_all or self.line_codes
-        )
 
     def expand_multiline(self, tree: ast.Module) -> None:
         """Extend line pragmas across their statement's physical span.
@@ -90,30 +83,6 @@ class PragmaMap:
                     self.line_codes.setdefault(line, set()).update(
                         self.line_codes[start]
                     )
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-serialisable form (for the incremental cache)."""
-        return {
-            "file_all": self.file_all,
-            "file_codes": sorted(self.file_codes),
-            "line_all": sorted(self.line_all),
-            "line_codes": {
-                str(line): sorted(codes)
-                for line, codes in self.line_codes.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PragmaMap":
-        pragmas = cls()
-        pragmas.file_all = bool(data.get("file_all"))
-        pragmas.file_codes = set(data.get("file_codes", ()))
-        pragmas.line_all = set(data.get("line_all", ()))
-        pragmas.line_codes = {
-            int(line): set(codes)
-            for line, codes in data.get("line_codes", {}).items()
-        }
-        return pragmas
 
 
 def parse_pragmas(source_lines: list[str]) -> PragmaMap:

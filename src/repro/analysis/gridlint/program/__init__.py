@@ -18,24 +18,17 @@ see one AST at a time; this package parses all of ``src/`` once into a
   delay or attempt timeout per iteration; ``repro.gridftp`` itself is
   the sanctioned pacing layer and is exempt.
 
-The model is extracted per module into JSON-serialisable
-:class:`~repro.analysis.gridlint.program.model.ModuleInfo` facts, which
-is what makes the incremental cache (``.gridlint-cache.json``) work:
-unchanged modules load their facts instead of re-parsing, and program
-findings are invalidated per module through the import graph.
+The model is extracted per module into
+:class:`~repro.analysis.gridlint.program.model.ModuleInfo` facts from
+the same tree the file-local rules walk;
+:func:`repro.analysis.gridlint.lint_paths` runs both layers.
 """
 
-from repro.analysis.gridlint.program.driver import (
-    ProgramRunStats,
-    analyze_project,
-)
 from repro.analysis.gridlint.program.model import ModuleInfo, extract_module
 from repro.analysis.gridlint.program.project import ProjectModel
 
 __all__ = [
     "ModuleInfo",
-    "ProgramRunStats",
     "ProjectModel",
-    "analyze_project",
     "extract_module",
 ]

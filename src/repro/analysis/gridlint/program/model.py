@@ -3,10 +3,8 @@
 One parse of a module produces a :class:`ModuleInfo`: imports, classes,
 and per-function facts (assignments, returns, calls, ``+``/``-``
 arithmetic, guard-timer arming/cancelling, loops) encoded as plain
-JSON-serialisable dictionaries.  The interprocedural rules
-(GL101-GL103, GL105) run over these facts only — never over raw ASTs —
-which is what lets the incremental cache skip re-parsing unchanged
-modules entirely.
+dictionaries.  The interprocedural rules (GL101-GL103, GL105) run over
+these facts only, never over raw ASTs.
 
 Expression encoding (``Expr`` is a plain dict)::
 
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 __all__ = [
     "ClassInfo",
@@ -41,9 +39,6 @@ __all__ = [
 ]
 
 Expr = dict[str, Any]
-
-#: Bump when the extraction schema changes — part of the cache key.
-MODEL_VERSION = 3
 
 #: Method names whose call produces a schedulable timer/event handle
 #: (used by GL103 to tie a ``guard_tag`` assignment to its creation).
@@ -84,19 +79,6 @@ class ClassInfo:
     bases: list[str] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name, "line": self.line,
-            "bases": self.bases, "methods": self.methods,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ClassInfo":
-        return cls(
-            name=data["name"], line=data["line"],
-            bases=list(data["bases"]), methods=list(data["methods"]),
-        )
-
 
 @dataclass
 class FunctionInfo:
@@ -130,21 +112,6 @@ class FunctionInfo:
     appends: list[dict[str, Any]] = field(default_factory=list)
     loops: list[dict[str, Any]] = field(default_factory=list)
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name, "qualname": self.qualname,
-            "line": self.line, "cls": self.cls, "params": self.params,
-            "assigns": self.assigns, "returns": self.returns,
-            "yields": self.yields, "calls": self.calls,
-            "binops": self.binops, "guards": self.guards,
-            "cancels": self.cancels, "appends": self.appends,
-            "loops": self.loops,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FunctionInfo":
-        return cls(**data)
-
 
 @dataclass
 class ModuleInfo:
@@ -153,36 +120,8 @@ class ModuleInfo:
     path: str
     module: str
     imports: dict[str, str] = field(default_factory=dict)
-    imported_modules: list[str] = field(default_factory=list)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "imports": self.imports,
-            "imported_modules": self.imported_modules,
-            "classes": {k: v.as_dict() for k, v in self.classes.items()},
-            "functions": {k: v.as_dict() for k, v in self.functions.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ModuleInfo":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            imports=dict(data["imports"]),
-            imported_modules=list(data["imported_modules"]),
-            classes={
-                k: ClassInfo.from_dict(v)
-                for k, v in data["classes"].items()
-            },
-            functions={
-                k: FunctionInfo.from_dict(v)
-                for k, v in data["functions"].items()
-            },
-        )
 
 
 def _dotted_chain(node: ast.expr) -> str | None:
@@ -215,7 +154,6 @@ class _Extractor:
             self._imports[local] = (
                 alias.name if alias.asname else alias.name.split(".")[0]
             )
-            self.info.imported_modules.append(alias.name)
 
     def _record_import_from(self, node: ast.ImportFrom) -> None:
         module = node.module or ""
@@ -224,8 +162,6 @@ class _Extractor:
             parts = self.info.module.split(".")
             base = parts[: len(parts) - node.level]
             module = ".".join(base + ([module] if module else []))
-        if module:
-            self.info.imported_modules.append(module)
         for alias in node.names:
             local = alias.asname or alias.name
             self._imports[local] = (
@@ -419,7 +355,7 @@ class _Extractor:
         for stmt in body:
             self._stmt(stmt)
 
-    def _loop(self, node: ast.stmt, visit) -> None:
+    def _loop(self, node: ast.stmt, visit: Callable[[], object]) -> None:
         """Record one loop's per-iteration calls while visiting it."""
         record: dict[str, Any] = {
             "line": node.lineno,
@@ -523,13 +459,6 @@ def _expr_children(expr: Expr) -> list[Expr]:
     return []
 
 
-def extract_module(path: str, source: str,
-                   module: str | None = None) -> ModuleInfo:
-    """Parse ``source`` and extract its :class:`ModuleInfo`.
-
-    Raises :class:`SyntaxError` on unparsable source — the caller (the
-    driver) degrades that module to file-local analysis only.
-    """
-    tree = ast.parse(source, filename=path)
-    name = module if module is not None else module_name_for_path(path)
-    return _Extractor(path, name).extract(tree)
+def extract_module(path: str, tree: ast.Module) -> ModuleInfo:
+    """Extract the :class:`ModuleInfo` of one parsed module."""
+    return _Extractor(path, module_name_for_path(path)).extract(tree)

@@ -1,4 +1,4 @@
-"""The project model: module graph, symbol table and call graph.
+"""The project model: symbol table and call graph.
 
 Built once per run from every module's :class:`ModuleInfo` facts.
 Call resolution is heuristic by design — Python has no static types —
@@ -58,27 +58,8 @@ class ProjectModel:
                 self.functions[f"{name}:{qualname}"] = fn
             for cls in info.classes:
                 self._class_owner[f"{name}.{cls}"] = name
-        self._import_graph: dict[str, set[str]] | None = None
-        self._closures: dict[str, frozenset[str]] = {}
 
-    # -- module graph ------------------------------------------------------
-
-    @property
-    def import_graph(self) -> dict[str, set[str]]:
-        """module -> project modules it imports (directly)."""
-        if self._import_graph is None:
-            graph: dict[str, set[str]] = {}
-            for name, info in self.modules.items():
-                deps: set[str] = set()
-                candidates = list(info.imported_modules)
-                candidates.extend(info.imports.values())
-                for candidate in candidates:
-                    dep = self._module_prefix(candidate)
-                    if dep is not None and dep != name:
-                        deps.add(dep)
-                graph[name] = deps
-            self._import_graph = graph
-        return self._import_graph
+    # -- symbol/class lookup -----------------------------------------------
 
     def _module_prefix(self, dotted: str) -> str | None:
         """Longest known module that is a dotted-prefix of ``dotted``."""
@@ -88,26 +69,6 @@ class ProjectModel:
             if prefix in self.modules:
                 return prefix
         return None
-
-    def import_closure(self, module: str) -> frozenset[str]:
-        """``module`` plus everything it transitively imports."""
-        cached = self._closures.get(module)
-        if cached is not None:
-            return cached
-        graph = self.import_graph
-        seen: set[str] = set()
-        stack = [module]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(graph.get(current, ()))
-        closure = frozenset(seen)
-        self._closures[module] = closure
-        return closure
-
-    # -- symbol/class lookup -----------------------------------------------
 
     def class_info(self, class_key: str) -> tuple[ModuleInfo, str] | None:
         """(owning module, class name) for a dotted class key."""

@@ -119,7 +119,35 @@ def run_table1(file_size_mb=1024, seed=0, warmup=None,
             f"score ranking: {' > '.join(score_order)}",
             f"transfer-time ranking (fastest first): "
             f"{' > '.join(time_order)}",
-            "Paper's claim: the two rankings agree — the best-scored "
-            "replica is the fastest to fetch.",
+            *claim_verdict(
+                score_order, time_order, transfer_seconds, decision.chosen
+            ),
         ],
     )
+
+
+def claim_verdict(score_order, time_order, transfer_seconds, chosen):
+    """Notes saying whether the paper's claim held on this run.
+
+    The claim: the score ranking equals the transfer-time ranking, so
+    the chosen (best-scored) replica is the fastest to fetch.  When the
+    chosen replica is not the fastest, the notes name the fastest and
+    how many times slower the chosen one was.
+    """
+    if list(score_order) == list(time_order):
+        notes = [
+            "Paper's claim held: the two rankings agree — the "
+            "best-scored replica is the fastest to fetch."
+        ]
+    else:
+        notes = ["Paper's claim failed: the two rankings disagree."]
+    fastest = time_order[0]
+    if chosen != fastest:
+        chosen_s = transfer_seconds[chosen]
+        fastest_s = transfer_seconds[fastest]
+        notes.append(
+            f"chosen replica {chosen} took {chosen_s:.1f} s, "
+            f"{chosen_s / fastest_s:.2f}x the fastest, {fastest} "
+            f"({fastest_s:.1f} s)"
+        )
+    return notes

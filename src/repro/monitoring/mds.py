@@ -127,37 +127,6 @@ class GIIS:
             results[name] = yield from self.query(name)
         return results
 
-    def search(self, predicate):
-        """LDAP-style filtered search over all providers.
-
-        ``predicate`` takes an entry dict and returns True to include
-        it.  A generator returning the matching entries (fetch costs as
-        in :meth:`query_all`)::
-
-            idle = yield from giis.search(
-                lambda e: e["cpu.idle_fraction"] > 0.5)
-        """
-        entries = yield from self.query_all()
-        return [
-            entry for entry in entries.values() if predicate(entry)
-        ]
-
-    def find_hosts_with_capacity(self, min_free_bytes=0.0,
-                                 min_cpu_idle=0.0):
-        """Common search: hosts with disk space and CPU headroom.
-
-        A generator returning host names sorted by descending CPU idle.
-        """
-        matches = yield from self.search(
-            lambda e: (
-                e["disk.free_bytes"] >= min_free_bytes
-                and e["cpu.idle_fraction"] >= min_cpu_idle
-            )
-        )
-        matches.sort(key=lambda e: (-e["cpu.idle_fraction"],
-                                    e["hostname"]))
-        return [entry["hostname"] for entry in matches]
-
     def invalidate(self, host_name=None):
         """Drop cached entries (all if ``host_name`` is None)."""
         if host_name is None:

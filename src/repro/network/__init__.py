@@ -10,7 +10,6 @@ disk/CPU models — which is exactly the mechanism that makes parallel
 GridFTP streams faster than one stream on a long fat pipe.
 """
 
-from repro.network.fairness import max_min_allocation
 from repro.network.flow import Flow, FlowNetwork
 from repro.network.link import Link
 from repro.network.routing import NoRouteError, Router
@@ -29,5 +28,4 @@ __all__ = [
     "TCPModel",
     "TCPParameters",
     "Topology",
-    "max_min_allocation",
 ]

@@ -30,8 +30,9 @@ its demand order (insertion order), its caps and its link capacities,
 and all three are unchanged.  The water-filling kernel,
 :func:`_fill_component`, fills straight from the persistent link entries:
 it only resets each link's budget and live-user count before filling.
-:func:`repro.network.fairness.max_min_allocation` is this solver run
-once from scratch, so there is no second implementation to drift.
+:func:`tests.network.fairness.max_min_allocation`, the test-side
+allocator, is this solver run once from scratch, so there is no
+second implementation to drift.
 
 ``tests/network/test_fairness_incremental.py`` compares random churn
 against fresh solves with ``==``, and ``tests/network/test_solver_churn.py``

@@ -2,19 +2,19 @@
 
 import os
 
-from repro.analysis.gridlint import lint_file, lint_source
+from repro.analysis.gridlint import lint_paths, lint_source
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def test_pragma_fixture_is_fully_suppressed():
     path = os.path.join(FIXTURES, "pragmas.py")
-    assert lint_file(path) == []
+    assert lint_paths([path]) == []
 
 
 def test_no_pragmas_reveals_suppressed_findings():
     path = os.path.join(FIXTURES, "pragmas.py")
-    codes = sorted(f.code for f in lint_file(path, respect_pragmas=False))
+    codes = sorted(f.code for f in lint_paths([path], respect_pragmas=False))
     assert codes == ["GL001", "GL005"]
 
 

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.analysis.gridlint import lint_file, lint_source
+from repro.analysis.gridlint import lint_paths, lint_source
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -13,8 +13,14 @@ def fixture(name):
     return os.path.join(FIXTURES, name)
 
 
+def lint_fixture(path, **kwargs):
+    """File-local findings for one fixture file."""
+    with open(path, encoding="utf-8") as handle:
+        return lint_source(handle.read(), path=path, **kwargs)
+
+
 def codes_in(path, **kwargs):
-    return [f.code for f in lint_file(path, **kwargs)]
+    return [f.code for f in lint_fixture(path, **kwargs)]
 
 
 @pytest.mark.parametrize("name,code,count", [
@@ -37,16 +43,18 @@ def test_bad_fixture_flags_expected_rule(name, code, count):
 ])
 def test_ok_fixture_is_clean(name):
     assert codes_in(fixture(name)) == []
+    # Clean under the whole-program rules too, not only file-locally.
+    assert lint_paths([fixture(name)]) == []
 
 
 def test_syntax_error_yields_gl000():
-    findings = lint_file(fixture("syntax_error.py"))
+    findings = lint_paths([fixture("syntax_error.py")])
     assert [f.code for f in findings] == ["GL000"]
     assert "syntax error" in findings[0].message
 
 
 def test_findings_carry_location():
-    findings = lint_file(fixture("gl001_bad.py"))
+    findings = lint_fixture(fixture("gl001_bad.py"))
     first = findings[0]
     assert first.path.endswith("gl001_bad.py")
     assert first.line > 1

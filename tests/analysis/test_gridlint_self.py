@@ -15,6 +15,7 @@ def test_source_tree_exists():
 
 
 def test_src_tree_is_gridlint_clean():
+    """Zero findings under every rule, file-local and GL101-GL105."""
     findings = lint_paths([SRC])
     assert findings == [], "\n".join(str(f) for f in findings)
 

@@ -1,7 +1,8 @@
 """Fact extraction and call-graph resolution for the project model."""
 
+import ast
+
 from repro.analysis.gridlint.program.model import (
-    ModuleInfo,
     extract_module,
     module_name_for_path,
 )
@@ -11,7 +12,7 @@ from repro.analysis.gridlint.program.project import ProjectModel
 def build(sources):
     """sources: {path: source} -> ProjectModel."""
     return ProjectModel(
-        extract_module(path, text) for path, text in sources.items()
+        extract_module(path, ast.parse(text)) for path, text in sources.items()
     )
 
 
@@ -112,21 +113,8 @@ def test_constructor_typed_local():
     assert resolved == "repro.a:Widget.ping"
 
 
-def test_import_graph_and_closure():
-    model = build({
-        "src/repro/leaf.py": "X = 1\n",
-        "src/repro/mid.py": "from repro.leaf import X\nY = X\n",
-        "src/repro/top.py": "import repro.mid\nZ = repro.mid.Y\n",
-    })
-    closure = model.import_closure("repro.top")
-    assert closure == frozenset(
-        {"repro.top", "repro.mid", "repro.leaf"}
-    )
-    assert model.import_closure("repro.leaf") == frozenset({"repro.leaf"})
-
-
 def test_guard_facts_extracted():
-    info = extract_module("src/repro/a.py", (
+    info = extract_module("src/repro/a.py", ast.parse(
         "class T:\n"
         "    def __init__(self, sim):\n"
         "        self.sim = sim\n"
@@ -138,14 +126,4 @@ def test_guard_facts_extracted():
     arm = info.functions["T.arm"]
     assert [g["handle"] for g in arm.guards] == ["t"]
     assert "t" in arm.cancels
-
-
-def test_roundtrip_through_json_facts():
-    info = extract_module("src/repro/a.py", (
-        "def f(x):\n"
-        "    return x + 1\n"
-    ))
-    clone = ModuleInfo.from_dict(info.as_dict())
-    assert clone.as_dict() == info.as_dict()
-
 

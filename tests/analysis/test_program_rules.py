@@ -1,10 +1,12 @@
 """Planted-bug / clean-twin fixtures for the interprocedural rules."""
 
+import ast
 import os
+from collections import Counter
 
 import pytest
 
-from repro.analysis.gridlint.program import analyze_project
+from repro.analysis.gridlint import collect_files, lint_paths
 
 FIXTURES = os.path.join(
     os.path.dirname(__file__), "fixtures", "program"
@@ -13,7 +15,7 @@ FIXTURES = os.path.join(
 
 def program_codes(case):
     """Interprocedural finding codes for one fixture directory."""
-    findings, _ = analyze_project([os.path.join(FIXTURES, case)])
+    findings = lint_paths([os.path.join(FIXTURES, case)])
     return [f.code for f in findings if f.code.startswith("GL1")]
 
 
@@ -37,7 +39,7 @@ def test_clean_twin_stays_clean(case):
 
 
 def test_gl101_finding_names_the_sink():
-    findings, _ = analyze_project([os.path.join(FIXTURES, "gl101_bad")])
+    findings = lint_paths([os.path.join(FIXTURES, "gl101_bad")])
     taint = [f for f in findings if f.code == "GL101"]
     assert len(taint) == 1
     assert taint[0].path.endswith("user.py")
@@ -45,7 +47,7 @@ def test_gl101_finding_names_the_sink():
 
 
 def test_gl102_flags_both_call_and_arithmetic():
-    findings, _ = analyze_project([os.path.join(FIXTURES, "gl102_bad")])
+    findings = lint_paths([os.path.join(FIXTURES, "gl102_bad")])
     messages = [f.message for f in findings if f.code == "GL102"]
     assert len(messages) == 2
     assert any("expects" in m for m in messages)
@@ -53,7 +55,7 @@ def test_gl102_flags_both_call_and_arithmetic():
 
 
 def test_gl103_anchors_at_the_arming_site():
-    findings, _ = analyze_project([os.path.join(FIXTURES, "gl103_bad")])
+    findings = lint_paths([os.path.join(FIXTURES, "gl103_bad")])
     leaks = [f for f in findings if f.code == "GL103"]
     assert len(leaks) == 1
     assert leaks[0].path.endswith("leak.py")
@@ -61,7 +63,7 @@ def test_gl103_anchors_at_the_arming_site():
 
 
 def test_gl105_anchors_at_the_loop_and_names_the_path():
-    findings, _ = analyze_project([os.path.join(FIXTURES, "gl105_bad")])
+    findings = lint_paths([os.path.join(FIXTURES, "gl105_bad")])
     storms = [f for f in findings if f.code == "GL105"]
     assert len(storms) == 1
     assert storms[0].path.endswith("user.py")
@@ -69,14 +71,28 @@ def test_gl105_anchors_at_the_loop_and_names_the_path():
     assert "backoff" in storms[0].message.lower()
 
 
-def test_no_program_flag_suppresses_interprocedural_rules():
-    findings, _ = analyze_project(
-        [os.path.join(FIXTURES, "gl103_bad")], program=False
-    )
-    assert [f.code for f in findings if f.code.startswith("GL1")] == []
-
-
 def test_src_tree_is_clean_of_program_findings():
-    """The real codebase holds zero unbaselined GL101-GL105 findings."""
-    findings, _ = analyze_project(["src/"])
-    assert [str(f) for f in findings] == []
+    """The real codebase holds zero GL101-GL105 findings."""
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)))),
+        "src",
+    )
+    findings = lint_paths([src])
+    assert [str(f) for f in findings if f.code.startswith("GL1")] == []
+
+
+def test_each_file_is_parsed_once(monkeypatch):
+    """One ``ast.parse`` per file feeds both rule layers."""
+    target = os.path.join(FIXTURES, "gl103_bad")
+    parsed = Counter()
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed[filename] += 1
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    findings = lint_paths([target])
+    assert [f.code for f in findings] == ["GL103"]
+    assert parsed == Counter(collect_files([target]))

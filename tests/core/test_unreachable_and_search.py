@@ -1,6 +1,4 @@
-"""Tests for unreachable-candidate exclusion and MDS search filters."""
-
-import pytest
+"""Tests for unreachable-candidate exclusion."""
 
 from repro.testbed import build_testbed
 from repro.units import megabytes
@@ -64,45 +62,3 @@ class TestUnreachableExclusion:
             grid, testbed.selection_server.select("alpha1", "f")
         )
         assert len(decision.scores) == 2
-
-
-class TestMdsSearch:
-    def test_search_filters_entries(self):
-        testbed = build_testbed(seed=64, monitoring=True)
-        grid = testbed.grid
-        grid.host("hit0").cpu.set_background_busy(1.0)  # fully busy
-        names = run_process(
-            grid,
-            testbed.giis.search(
-                lambda e: e["cpu.idle_fraction"] > 0.5
-            ),
-        )
-        hostnames = {e["hostname"] for e in names}
-        assert "hit0" not in hostnames
-        assert "alpha1" in hostnames
-
-    def test_find_hosts_with_capacity_sorted_by_idle(self):
-        testbed = build_testbed(seed=65)
-        grid = testbed.grid
-        grid.host("alpha1").cpu.set_background_busy(1.0)  # half busy
-        hosts = run_process(
-            grid,
-            testbed.giis.find_hosts_with_capacity(
-                min_free_bytes=50e9, min_cpu_idle=0.4
-            ),
-        )
-        # Li-Zen disks are 10 GB: filtered out entirely.
-        assert not any(h.startswith("lz") for h in hosts)
-        # alpha1 (0.5 idle) ranks after the fully idle hosts.
-        assert hosts.index("alpha1") > hosts.index("alpha2")
-
-    def test_capacity_search_free_space_threshold(self):
-        testbed = build_testbed(seed=66)
-        hosts = run_process(
-            testbed.grid,
-            testbed.giis.find_hosts_with_capacity(
-                min_free_bytes=70e9
-            ),
-        )
-        # Only HIT's 80 GB disks qualify.
-        assert hosts and all(h.startswith("hit") for h in hosts)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.fairness import FlowDemand, max_min_allocation
+from tests.network.fairness import FlowDemand, max_min_allocation
 
 
 def alloc(demands, capacities):

@@ -1,7 +1,7 @@
 """Differential battery: IncrementalMaxMinSolver vs the pure oracle.
 
 The incremental solver's whole claim is *exact* equality with
-:func:`repro.network.fairness.max_min_allocation` — not approximate:
+:func:`tests.network.fairness.max_min_allocation` — not approximate:
 component arithmetic is a pure function of (demand order, caps, link
 capacities), so the rates of components it leaves alone must be
 bit-identical to a fresh solve.  ``rates()`` returns only the rates it
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.fairness import FlowDemand, max_min_allocation
+from tests.network.fairness import FlowDemand, max_min_allocation
 from repro.network.solver import IncrementalMaxMinSolver
 
 #: A small link universe forces heavy sharing (big components) while

@@ -4,7 +4,7 @@
 link and keeps one shared fill level instead of rescanning every link's
 user set each round, and it fills from the solver's persistent link
 entries.  The claim is that it performs the same float operations in
-the same order, so :func:`repro.network.fairness.max_min_allocation`
+the same order, so :func:`tests.network.fairness.max_min_allocation`
 (a fresh solver, solved once) must equal
 :func:`tests.network.fill_reference.reference_allocation` — the
 reference loop run on each component found by a from-scratch
@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.fairness import FlowDemand, max_min_allocation
+from tests.network.fairness import FlowDemand, max_min_allocation
 from tests.network.fill_reference import reference_allocation
 
 _LINKS = ["a", "b", "c", "d", "e"]

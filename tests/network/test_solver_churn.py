@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.fairness import FlowDemand
+from tests.network.fairness import FlowDemand
 from repro.network.solver import IncrementalMaxMinSolver
 from tests.network.fill_reference import flow_components, reference_allocation
 

@@ -2,13 +2,15 @@
 
 Every transfer rate and every NWS bandwidth probe comes out of
 :class:`repro.network.solver.IncrementalMaxMinSolver`, which keeps its
-link entries and components between calls and water-fills only the
-components a change touched.  Two seeded synthetic components:
+link entries, link classes and components between calls and water-fills
+only the components a change touched.  Two seeded synthetic components:
 
 * ``frontdoor`` — shaped like the median component of the front-door
   brownout benchmark: 14 four-stream transfers (56 capped flows) over
   112 links, each path 8 links of its own plus one of the previous
-  path's, which chains them into one component;
+  path's, which chains them into one component.  The streams of one
+  transfer share all their links, so the 112 links fall into 27
+  classes;
 * ``paper3`` — the paper's testbed: two capped flows sharing a link.
 
 ``test_bench_fill_component`` times one re-solve of the whole component

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Sequence
+from typing import Any
 
+from repro.analysis.gridlint.findings import Finding
 from repro.analysis.gridlint.rules import RULES
 
 __all__ = ["FORMATS", "render"]
@@ -17,7 +20,7 @@ _TOOL_URI = "https://example.invalid/repro/gridlint"
 _TOOL_VERSION = "2.0.0"
 
 
-def _render_text(findings):
+def _render_text(findings: Sequence[Finding]) -> str:
     lines = [str(f) for f in findings]
     total = len(findings)
     lines.append(
@@ -26,11 +29,11 @@ def _render_text(findings):
     return "\n".join(lines)
 
 
-def _render_json(findings):
+def _render_json(findings: Sequence[Finding]) -> str:
     return json.dumps([f.as_dict() for f in findings], indent=2)
 
 
-def _render_github(findings):
+def _render_github(findings: Sequence[Finding]) -> str:
     """GitHub Actions workflow commands — annotate the PR diff."""
     return "\n".join(
         f"::error file={f.path},line={f.line},col={f.col},"
@@ -39,7 +42,7 @@ def _render_github(findings):
     )
 
 
-def _render_sarif(findings):
+def _render_sarif(findings: Sequence[Finding]) -> str:
     """SARIF 2.1.0 — the code-scanning interchange format.
 
     The full rule catalog is embedded so GitHub can render rule help
@@ -62,7 +65,7 @@ def _render_sarif(findings):
         uri = f.path.replace("\\", "/")
         if uri.startswith("./"):
             uri = uri[2:]
-        result = {
+        result: dict[str, Any] = {
             "ruleId": f.code,
             "level": "error",
             "message": {"text": f.message},
@@ -101,7 +104,7 @@ def _render_sarif(findings):
     return json.dumps(log, indent=2)
 
 
-FORMATS = {
+FORMATS: dict[str, Callable[[Sequence[Finding]], str]] = {
     "text": _render_text,
     "json": _render_json,
     "github": _render_github,
@@ -109,7 +112,7 @@ FORMATS = {
 }
 
 
-def render(findings, format="text"):
+def render(findings: Sequence[Finding], format: str = "text") -> str:
     """Render findings in the named format (text|json|github|sarif)."""
     try:
         formatter = FORMATS[format]

@@ -34,7 +34,11 @@ mitigation:
 from __future__ import annotations
 
 from repro.analysis.gridlint.findings import Finding
-from repro.analysis.gridlint.program.model import Expr
+from repro.analysis.gridlint.program.model import (
+    Expr,
+    FunctionInfo,
+    ModuleInfo,
+)
 from repro.analysis.gridlint.program.project import ProjectModel
 
 __all__ = ["check_gl105"]
@@ -122,7 +126,8 @@ class _RetryPass:
         self._reaching[key] = result
         return result
 
-    def _charged_call(self, call: Expr, info, fn, types) -> str | None:
+    def _charged_call(self, call: Expr, info: ModuleInfo, fn: FunctionInfo,
+                      types: dict[str, str]) -> str | None:
         """Label of the channel-reaching call, or None."""
         if _hits_channel(call):
             return call.get("tgt")
@@ -131,7 +136,7 @@ class _RetryPass:
             return call.get("tgt") or call.get("method") or callee
         return None
 
-    def findings_for(self, info) -> list[Finding]:
+    def findings_for(self, info: ModuleInfo) -> list[Finding]:
         if _is_exempt(info.module):
             return []
         out: list[Finding] = []

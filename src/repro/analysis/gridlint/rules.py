@@ -24,6 +24,8 @@ rationale):
 from __future__ import annotations
 
 import ast
+import os
+from typing import Union
 
 from repro.analysis.gridlint.findings import Finding
 
@@ -79,12 +81,20 @@ _SIM_EXCEPTIONS = {"SimulationError", "SimError"}
 #: The raw data-channel module GL007 fences off.
 _DATACHANNEL = "repro.gridftp.datachannel"
 
+#: A node that carries a source position.
+_Located = Union[ast.expr, ast.stmt, ast.excepthandler]
+
+#: The function-like nodes whose defaults GL005 checks.
+_FunctionLike = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]
+
 
 class FileContext:
     """Per-file rule switches derived from the path by the engine."""
 
-    def __init__(self, path, is_rng_module=False, is_units_module=False,
-                 in_gridftp_package=False):
+    def __init__(self, path: str | os.PathLike[str],
+                 is_rng_module: bool = False,
+                 is_units_module: bool = False,
+                 in_gridftp_package: bool = False) -> None:
         self.path = str(path)
         #: ``sim/random_streams.py`` is the one legal home of `random`.
         self.is_rng_module = bool(is_rng_module)
@@ -94,14 +104,14 @@ class FileContext:
         self.in_gridftp_package = bool(in_gridftp_package)
 
 
-def check_tree(tree, context):
+def check_tree(tree: ast.AST, context: FileContext) -> list[Finding]:
     """Run every rule over a parsed module; returns a list of Findings."""
     visitor = _RuleVisitor(context)
     visitor.visit(tree)
     return visitor.findings
 
 
-def _qualified_name(node):
+def _qualified_name(node: ast.expr) -> str | None:
     """Dotted name of an expression like ``a.b.c`` (None if not one)."""
     parts = []
     while isinstance(node, ast.Attribute):
@@ -115,16 +125,16 @@ def _qualified_name(node):
 
 class _RuleVisitor(ast.NodeVisitor):
 
-    def __init__(self, context):
+    def __init__(self, context: FileContext) -> None:
         self.context = context
-        self.findings = []
+        self.findings: list[Finding] = []
         #: local alias -> imported dotted name (``import x.y as z``,
         #: ``from x import y``), used to canonicalise call targets.
-        self._imports = {}
+        self._imports: dict[str, str] = {}
         #: stack of {name: is_set} scopes for GL003's local inference.
-        self._set_scopes = [{}]
+        self._set_scopes: list[dict[str, bool]] = [{}]
 
-    def _report(self, node, code, message):
+    def _report(self, node: _Located, code: str, message: str) -> None:
         self.findings.append(Finding(
             path=self.context.path, line=node.lineno,
             col=node.col_offset, code=code, message=message,
@@ -132,7 +142,7 @@ class _RuleVisitor(ast.NodeVisitor):
 
     # -- imports (GL002 + name canonicalisation) --------------------------
 
-    def visit_Import(self, node):
+    def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             self._imports[alias.asname or alias.name.split(".")[0]] = (
                 alias.name
@@ -143,7 +153,7 @@ class _RuleVisitor(ast.NodeVisitor):
                 self._flag_datachannel(node)
         self.generic_visit(node)
 
-    def visit_ImportFrom(self, node):
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         module = node.module or ""
         from_datachannel = self._is_datachannel_module(module)
         for alias in node.names:
@@ -161,14 +171,14 @@ class _RuleVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     @staticmethod
-    def _is_random_module(name):
+    def _is_random_module(name: str) -> bool:
         return name == "random" or name.startswith("random.")
 
     @staticmethod
-    def _is_datachannel_module(name):
+    def _is_datachannel_module(name: str) -> bool:
         return name == _DATACHANNEL or name.startswith(_DATACHANNEL + ".")
 
-    def _flag_datachannel(self, node):
+    def _flag_datachannel(self, node: ast.stmt) -> None:
         if self.context.in_gridftp_package:
             return
         self._report(
@@ -178,7 +188,7 @@ class _RuleVisitor(ast.NodeVisitor):
             "GridFtpClient.get / ReliableFileTransfer",
         )
 
-    def _flag_random(self, node):
+    def _flag_random(self, node: ast.stmt) -> None:
         if self.context.is_rng_module:
             return
         self._report(
@@ -187,7 +197,7 @@ class _RuleVisitor(ast.NodeVisitor):
             "the simulator's seeded streams (sim.streams.get(name))",
         )
 
-    def _canonical(self, node):
+    def _canonical(self, node: ast.expr) -> str | None:
         """Canonical dotted target of a call, following import aliases."""
         name = _qualified_name(node)
         if name is None:
@@ -198,7 +208,7 @@ class _RuleVisitor(ast.NodeVisitor):
 
     # -- GL001 wall clock -------------------------------------------------
 
-    def visit_Call(self, node):
+    def visit_Call(self, node: ast.Call) -> None:
         target = self._canonical(node.func)
         if target in _WALL_CLOCK:
             self._report(
@@ -231,23 +241,23 @@ class _RuleVisitor(ast.NodeVisitor):
 
     # -- GL003 unordered iteration ---------------------------------------
 
-    def _enter_scope(self):
+    def _enter_scope(self) -> None:
         self._set_scopes.append({})
 
-    def _exit_scope(self):
+    def _exit_scope(self) -> None:
         self._set_scopes.pop()
 
-    def _bind(self, target, is_set):
+    def _bind(self, target: ast.expr, is_set: bool) -> None:
         if isinstance(target, ast.Name):
             self._set_scopes[-1][target.id] = is_set
 
-    def _name_is_set(self, name):
+    def _name_is_set(self, name: str) -> bool:
         for scope in reversed(self._set_scopes):
             if name in scope:
                 return scope[name]
         return False
 
-    def _is_set_expr(self, node):
+    def _is_set_expr(self, node: ast.expr) -> bool:
         if isinstance(node, (ast.Set, ast.SetComp)):
             return True
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
@@ -262,7 +272,7 @@ class _RuleVisitor(ast.NodeVisitor):
         return False
 
     @staticmethod
-    def _is_keys_view(node):
+    def _is_keys_view(node: ast.expr) -> bool:
         return (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -270,7 +280,7 @@ class _RuleVisitor(ast.NodeVisitor):
             and not node.args and not node.keywords
         )
 
-    def _check_iterable(self, node):
+    def _check_iterable(self, node: ast.expr) -> None:
         if self._is_set_expr(node):
             self._report(
                 node, "GL003",
@@ -285,22 +295,25 @@ class _RuleVisitor(ast.NodeVisitor):
                 "was deterministic",
             )
 
-    def visit_Assign(self, node):
+    def visit_Assign(self, node: ast.Assign) -> None:
         is_set = self._is_set_expr(node.value)
         for target in node.targets:
             self._bind(target, is_set)
         self.generic_visit(node)
 
-    def visit_AnnAssign(self, node):
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None:
             self._bind(node.target, self._is_set_expr(node.value))
         self.generic_visit(node)
 
-    def visit_For(self, node):
+    def visit_For(self, node: ast.For) -> None:
         self._check_iterable(node.iter)
         self.generic_visit(node)
 
-    def _visit_comprehension(self, node):
+    def _visit_comprehension(
+        self,
+        node: ast.ListComp | ast.SetComp | ast.GeneratorExp | ast.DictComp,
+    ) -> None:
         for generator in node.generators:
             self._check_iterable(generator.iter)
         self.generic_visit(node)
@@ -312,7 +325,9 @@ class _RuleVisitor(ast.NodeVisitor):
 
     # -- GL004 inline unit arithmetic -------------------------------------
 
-    def _flatten_product(self, node, constants, leaves):
+    def _flatten_product(self, node: ast.expr,
+                         constants: list[int | float],
+                         leaves: list[ast.expr]) -> None:
         """Collect numeric constants of a ``*``/``/`` chain."""
         if isinstance(node, ast.BinOp) and isinstance(
             node.op, (ast.Mult, ast.Div)
@@ -326,7 +341,7 @@ class _RuleVisitor(ast.NodeVisitor):
         else:
             leaves.append(node)
 
-    def visit_BinOp(self, node):
+    def visit_BinOp(self, node: ast.BinOp) -> None:
         if self.context.is_units_module:
             self.generic_visit(node)
             return
@@ -352,21 +367,23 @@ class _RuleVisitor(ast.NodeVisitor):
             self.generic_visit(node)
             return
         # Analyse the whole multiplicative chain once, from its root.
-        constants, leaves = [], []
+        constants: list[int | float] = []
+        leaves: list[ast.expr] = []
         self._flatten_product(node, constants, leaves)
         self._check_product(node, constants)
         for leaf in leaves:
             self.visit(leaf)
 
     @staticmethod
-    def _const_pair(node):
+    def _const_pair(node: ast.BinOp) -> tuple[object, object] | None:
         if isinstance(node.left, ast.Constant) and isinstance(
             node.right, ast.Constant
         ):
             return (node.left.value, node.right.value)
         return None
 
-    def _check_product(self, node, constants):
+    def _check_product(self, node: ast.BinOp,
+                       constants: list[int | float]) -> None:
         values = set(constants)
         if (8 in values or 8.0 in values) and (
             values & {1e6, 1e9, 1_000_000, 1_000_000_000}
@@ -393,7 +410,7 @@ class _RuleVisitor(ast.NodeVisitor):
 
     # -- GL005 mutable defaults -------------------------------------------
 
-    def _check_defaults(self, node, name):
+    def _check_defaults(self, node: _FunctionLike, name: str) -> None:
         args = node.args
         for default in list(args.defaults) + list(args.kw_defaults):
             if default is None:
@@ -406,7 +423,7 @@ class _RuleVisitor(ast.NodeVisitor):
                 )
 
     @staticmethod
-    def _is_mutable_literal(node):
+    def _is_mutable_literal(node: ast.expr) -> bool:
         if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
                              ast.DictComp, ast.SetComp)):
             return True
@@ -416,7 +433,9 @@ class _RuleVisitor(ast.NodeVisitor):
             and node.func.id in ("list", "dict", "set", "bytearray", "deque")
         )
 
-    def visit_FunctionDef(self, node):
+    def visit_FunctionDef(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef,
+    ) -> None:
         self._check_defaults(node, node.name)
         self._enter_scope()
         self.generic_visit(node)
@@ -424,20 +443,20 @@ class _RuleVisitor(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
-    def visit_Lambda(self, node):
+    def visit_Lambda(self, node: ast.Lambda) -> None:
         self._check_defaults(node, "<lambda>")
         self._enter_scope()
         self.generic_visit(node)
         self._exit_scope()
 
-    def visit_ClassDef(self, node):
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._enter_scope()
         self.generic_visit(node)
         self._exit_scope()
 
     # -- GL006 bare / swallowed excepts ------------------------------------
 
-    def visit_ExceptHandler(self, node):
+    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         if node.type is None:
             self._report(
                 node, "GL006",
@@ -457,7 +476,7 @@ class _RuleVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     @staticmethod
-    def _body_is_noop(body):
+    def _body_is_noop(body: list[ast.stmt]) -> bool:
         for stmt in body:
             if isinstance(stmt, ast.Pass):
                 continue
@@ -468,8 +487,8 @@ class _RuleVisitor(ast.NodeVisitor):
         return True
 
     @staticmethod
-    def _exception_names(node):
-        names = set()
+    def _exception_names(node: ast.expr) -> set[str]:
+        names: set[str] = set()
         nodes = node.elts if isinstance(node, ast.Tuple) else [node]
         for item in nodes:
             name = _qualified_name(item)

@@ -24,7 +24,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.obs import capture
 
@@ -42,13 +44,13 @@ __all__ = [
 _ADDRESS_RE = re.compile(r" at 0x[0-9a-fA-F]+")
 
 
-def _canonical(record):
+def _canonical(record: object) -> str:
     """Stable JSON text for one trace record."""
     text = json.dumps(record, sort_keys=True, default=repr)
     return _ADDRESS_RE.sub("", text)
 
 
-def trace_digest(records):
+def trace_digest(records: Sequence[object]) -> str:
     """SHA-256 hex digest over a canonicalised record stream."""
     digest = hashlib.sha256()
     for record in records:
@@ -57,7 +59,7 @@ def trace_digest(records):
     return digest.hexdigest()
 
 
-def run_traced(scenario):
+def run_traced(scenario: Callable[[], Any]) -> tuple[Any, list[Any]]:
     """Run ``scenario()`` under capture; returns (result, records)."""
     with capture() as collector:
         result = scenario()
@@ -87,19 +89,19 @@ class DeterminismReport:
     """Digest comparison across N same-seed runs of one scenario."""
 
     name: str
-    digests: list = field(default_factory=list)
-    record_counts: list = field(default_factory=list)
+    digests: list[str] = field(default_factory=list)
+    record_counts: list[int] = field(default_factory=list)
     divergence: Divergence | None = None
 
     @property
-    def ok(self):
+    def ok(self) -> bool:
         return len(set(self.digests)) <= 1
 
     @property
-    def runs(self):
+    def runs(self) -> int:
         return len(self.digests)
 
-    def describe(self):
+    def describe(self) -> str:
         if self.ok:
             return (
                 f"{self.name}: deterministic over {self.runs} runs "
@@ -120,7 +122,8 @@ class DeterminismReport:
         return "\n".join(lines)
 
 
-def _first_divergence(run_a, run_b, records_a, records_b):
+def _first_divergence(run_a: int, run_b: int, records_a: Sequence[object],
+                      records_b: Sequence[object]) -> Divergence | None:
     canon_a = [_canonical(r) for r in records_a]
     canon_b = [_canonical(r) for r in records_b]
     limit = max(len(canon_a), len(canon_b))
@@ -135,7 +138,8 @@ def _first_divergence(run_a, run_b, records_a, records_b):
     return None
 
 
-def check_determinism(scenario, runs=2, name="scenario"):
+def check_determinism(scenario: Callable[[], Any], runs: int = 2,
+                      name: str = "scenario") -> DeterminismReport:
     """Run ``scenario()`` ``runs`` times and compare trace digests.
 
     ``scenario`` must be a zero-argument callable that seeds everything
@@ -145,7 +149,7 @@ def check_determinism(scenario, runs=2, name="scenario"):
     if runs < 2:
         raise ValueError("need at least 2 runs to compare")
     report = DeterminismReport(name=name)
-    traces = []
+    traces: list[list[Any]] = []
     for _ in range(runs):
         _, records = run_traced(scenario)
         traces.append(records)
@@ -162,7 +166,8 @@ def check_determinism(scenario, runs=2, name="scenario"):
     return report
 
 
-def check_profile_neutrality(scenario, name="scenario"):
+def check_profile_neutrality(scenario: Callable[[], Any],
+                             name: str = "scenario") -> DeterminismReport:
     """Digest one plain run against one kernel-profiled run.
 
     The perf layer's contract (see :mod:`repro.obs.perf`) is that
@@ -185,7 +190,7 @@ def check_profile_neutrality(scenario, name="scenario"):
     return report
 
 
-def main(argv=None):
+def main(argv: Sequence[str] | None = None) -> int:
     """Run the harness over named experiments (CI's sanitize gate)."""
     import argparse
 

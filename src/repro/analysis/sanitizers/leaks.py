@@ -14,7 +14,9 @@ Usage::
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import Any
 
 __all__ = ["Leak", "LeakReport", "check_leaks"]
 
@@ -34,24 +36,24 @@ class Leak:
 class LeakReport:
     """Outcome of one leak sweep."""
 
-    def __init__(self, leaks):
+    def __init__(self, leaks: Iterable[Leak]) -> None:
         self.leaks = list(leaks)
 
-    def __repr__(self):
+    def __repr__(self) -> str:
         state = "clean" if self.ok else f"{len(self.leaks)} leaks"
         return f"<LeakReport {state}>"
 
     @property
-    def ok(self):
+    def ok(self) -> bool:
         return not self.leaks
 
-    def describe(self):
+    def describe(self) -> str:
         if self.ok:
             return "no leaks"
         return "\n".join(str(leak) for leak in self.leaks)
 
 
-def _resolve(target):
+def _resolve(target: Any) -> tuple[Any, Any]:
     """Accept a DataGrid, Simulator or Observability."""
     sim = None
     obs = getattr(target, "obs", None)
@@ -63,7 +65,7 @@ def _resolve(target):
     return sim, obs
 
 
-def check_leaks(target):
+def check_leaks(target: Any) -> LeakReport:
     """Sweep for unclosed spans/transfers and stale queued events.
 
     ``target`` may be a :class:`~repro.grid.DataGrid`, a
@@ -71,7 +73,7 @@ def check_leaks(target):
     :class:`~repro.obs.Observability`.
     """
     sim, obs = _resolve(target)
-    leaks = []
+    leaks: list[Leak] = []
 
     tracer = getattr(obs, "tracer", None)
     if tracer is not None and getattr(tracer, "enabled", False):

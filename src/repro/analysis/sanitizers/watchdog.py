@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import TracebackType
+from typing import Any, Literal
 
 from repro.sim.errors import SimulationError
+from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 
 __all__ = [
@@ -60,16 +63,16 @@ class SimTimeWatchdog:
         immediately instead of only being recorded.
     """
 
-    def __init__(self, sim, strict=False):
+    def __init__(self, sim: Simulator, strict: bool = False) -> None:
         self.sim = sim
         self.strict = bool(strict)
-        self.violations = []
+        self.violations: list[WatchdogViolation] = []
         self.steps_checked = 0
         self._last_now = sim.now
         self._hook = sim.add_step_hook(self._check)
         self._detached = False
 
-    def __repr__(self):
+    def __repr__(self) -> str:
         state = "detached" if self._detached else "armed"
         return (
             f"<SimTimeWatchdog {state}: {self.steps_checked} steps, "
@@ -77,16 +80,16 @@ class SimTimeWatchdog:
         )
 
     @property
-    def ok(self):
+    def ok(self) -> bool:
         return not self.violations
 
-    def detach(self):
+    def detach(self) -> None:
         """Stop watching (idempotent)."""
         if not self._detached:
             self.sim.remove_step_hook(self._hook)
             self._detached = True
 
-    def _record(self, kind, detail):
+    def _record(self, kind: str, detail: str) -> None:
         violation = WatchdogViolation(
             kind=kind, time=self.sim.now, detail=detail
         )
@@ -94,7 +97,7 @@ class SimTimeWatchdog:
         if self.strict:
             raise WatchdogError(str(violation))
 
-    def _check(self, sim, event):
+    def _check(self, sim: Simulator, event: Event) -> None:
         self.steps_checked += 1
         now = sim.now
         if not math.isfinite(now):
@@ -121,7 +124,7 @@ class SimTimeWatchdog:
         self._last_now = now
 
 
-def attach_watchdog(sim, strict=False):
+def attach_watchdog(sim: Simulator, strict: bool = False) -> SimTimeWatchdog:
     """Arm a :class:`SimTimeWatchdog` on ``sim`` and return it."""
     return SimTimeWatchdog(sim, strict=strict)
 
@@ -139,50 +142,52 @@ class GlobalWatchdog:
         assert not guard.violations()
     """
 
-    def __init__(self, strict=False):
+    def __init__(self, strict: bool = False) -> None:
         self.strict = bool(strict)
-        self.watchdogs = []
-        self._original_init = None
+        self.watchdogs: list[SimTimeWatchdog] = []
+        self._original_init: Any = None
 
-    def install(self):
+    def install(self) -> GlobalWatchdog:
         if self._original_init is not None:
             raise RuntimeError("global watchdog already installed")
         self._original_init = Simulator.__init__
         original = self._original_init
         guard = self
 
-        def watched_init(sim, *args, **kwargs):
+        def watched_init(sim: Simulator, *args: Any, **kwargs: Any) -> None:
             original(sim, *args, **kwargs)
             guard.watchdogs.append(
                 SimTimeWatchdog(sim, strict=guard.strict)
             )
 
-        Simulator.__init__ = watched_init
+        Simulator.__init__ = watched_init  # type: ignore[method-assign]
         return self
 
-    def uninstall(self):
+    def uninstall(self) -> None:
         if self._original_init is None:
             return
-        Simulator.__init__ = self._original_init
+        Simulator.__init__ = self._original_init  # type: ignore[method-assign]
         self._original_init = None
         for watchdog in self.watchdogs:
             watchdog.detach()
 
-    def violations(self):
+    def violations(self) -> list[WatchdogViolation]:
         """All violations across every watched simulator."""
-        out = []
+        out: list[WatchdogViolation] = []
         for watchdog in self.watchdogs:
             out.extend(watchdog.violations)
         return out
 
-    def __enter__(self):
+    def __enter__(self) -> GlobalWatchdog:
         return self.install()
 
-    def __exit__(self, exc_type, exc, tb):
+    def __exit__(self, exc_type: type[BaseException] | None,
+                 exc: BaseException | None,
+                 tb: TracebackType | None) -> Literal[False]:
         self.uninstall()
         return False
 
 
-def install_global_watchdog(strict=False):
+def install_global_watchdog(strict: bool = False) -> GlobalWatchdog:
     """Install and return a :class:`GlobalWatchdog`."""
     return GlobalWatchdog(strict=strict).install()

@@ -60,9 +60,13 @@ class Flow:
         self.remaining = float(nbytes)
         self.cap = float(cap)
         self.label = label
-        #: All capacity constraints this flow occupies: routed network
-        #: links plus caller-supplied resource links.
-        self.links = tuple(path.links) + tuple(extra_links)
+        #: All capacity constraints this flow occupies, each once:
+        #: routed network links plus caller-supplied resource links.  A
+        #: transfer from a host to itself lists the host's disk and CPU
+        #: channels as both its source and its sink; the solver
+        #: counts such a link once against its capacity, so its
+        #: ``allocated`` and ``bytes_carried`` count the flow once too.
+        self.links = tuple(dict.fromkeys((*path.links, *extra_links)))
         self.rate = 0.0
         self.started_at = network.sim.now
         self.completed_at = None
@@ -264,22 +268,19 @@ class FlowNetwork:
 
         # Only re-solved components' rates can have moved; every other
         # flow keeps its rate and every other link its allocation.  A
-        # link's users all sit in one component, which the solver
-        # returns in flow insertion order, so each allocation is summed
-        # in the same order as a full recomputation would.
-        rates = self._solver.rates({
+        # link's allocation is its flows' rates summed in flow insertion
+        # order, as a full recomputation would sum them.
+        solver = self._solver
+        rates = solver.rates({
             key: entry[0].available_capacity
             for key, entry in self._links_by_key.items()
         })
         flows = self._flows
-        for fid in rates:
-            for link in flows[fid].links:
-                link.allocated = 0.0
         for fid, rate in rates.items():
-            flow = flows[fid]
-            flow.rate = rate
-            for link in flow.links:
-                link.allocated += rate
+            flows[fid].rate = rate
+        links = self._links_by_key
+        for key, load in solver.link_loads(rates):
+            links[key][0].allocated = load
 
         self._schedule_wakeup()
 

@@ -11,13 +11,24 @@ can only move the rates of its own component.
 calls instead of deriving it again on each one:
 
 * **Link entries.**  One :class:`_LinkState` per live link key holds the
-  flows over it, in insertion order, and the capacity the last solve
-  used.  :meth:`~IncrementalMaxMinSolver.add_flow` and
-  :meth:`~IncrementalMaxMinSolver.remove_flow` update them.
-* **Components.**  Each link entry points at its component, which holds
-  its flows in insertion order.  Adding a flow merges the components its
+  capacity the last solve used and the link's class.
+* **Link classes.**  Live links used by exactly the same flows form one
+  :class:`_LinkClass`, which holds those flows in insertion order; each
+  flow keeps the tuple of its distinct classes.  A GridFTP stream
+  crosses about nine links (route hops plus disk and CPU channels), and
+  most of them carry exactly the same streams: the client's edge and
+  sink channels, the replica's source channels, the private hops of one
+  replica→client pair.  :meth:`~IncrementalMaxMinSolver.add_flow`
+  splits every class the new flow covers only partly (a class it covers
+  whole keeps its object); :meth:`~IncrementalMaxMinSolver.remove_flow`
+  merges a class with the class that now has the same flows, which is
+  among the classes of any one of those flows, so no global index is
+  needed.
+* **Components.**  Each class points at its component, which holds its
+  flows in insertion order.  Adding a flow merges the components its
   links touch; removing one marks its component for a split, which runs
-  once, at the next solve, as a walk that visits each link at most once.
+  once, at the next solve, as a walk that visits each class at most
+  once.
 * **Dirty components.**  A component is re-solved when its membership
   changed or when one of its link capacities differs (``!=``) from the
   one its last solve used; :meth:`~IncrementalMaxMinSolver.rates` reads
@@ -28,15 +39,16 @@ Every other component keeps its rates, and those are exactly what a
 fresh solve would give: a component's arithmetic is a pure function of
 its demand order (insertion order), its caps and its link capacities,
 and all three are unchanged.  The water-filling kernel,
-:func:`_fill_component`, fills straight from the persistent link entries:
-it only resets each link's budget and live-user count before filling.
-:func:`tests.network.fairness.max_min_allocation`, the test-side
+:func:`_fill_component`, fills classes instead of links and returns the
+rates filling link by link would give, bit for bit (its docstring says
+why).  :func:`tests.network.fairness.max_min_allocation`, the test-side
 allocator, is this solver run once from scratch, so there is no
 second implementation to drift.
 
 ``tests/network/test_fairness_incremental.py`` compares random churn
 against fresh solves with ``==``, and ``tests/network/test_solver_churn.py``
-compares each component bit-for-bit with the plain reference loop.
+compares each component bit-for-bit with the plain link-by-link
+reference loop and checks the classes after every step.
 """
 
 import math
@@ -51,12 +63,13 @@ _EPS = 1e-9
 _PROBE = "__probe__"
 
 _by_seq = attrgetter("seq")
+_by_cap = attrgetter("cap")
 
 
 class _FlowState:
     """A flow as the solver keeps it between solves."""
 
-    __slots__ = ("flow_id", "links", "cap", "states", "seq", "mark")
+    __slots__ = ("flow_id", "links", "cap", "classes", "seq", "mark")
 
     def __init__(self, flow_id, links, cap, seq):
         if not cap >= 0:
@@ -65,10 +78,9 @@ class _FlowState:
         self.flow_id = flow_id
         self.links = tuple(links)
         self.cap = float(cap)
-        #: The :class:`_LinkState` of each distinct link, in first-
-        #: appearance order (a demand listing a link twice counts once
-        #: against it).
-        self.states = ()
+        #: The distinct :class:`_LinkClass` entries of its links (a
+        #: demand listing a link twice counts once against it).
+        self.classes = ()
         #: Insertion sequence number: orders demands inside a component.
         self.seq = seq
         #: Stamp of the last split walk that reached this flow.
@@ -78,24 +90,38 @@ class _FlowState:
 class _LinkState:
     """One live link, kept between solves."""
 
-    __slots__ = ("key", "users", "capacity", "component", "remaining",
-                 "live", "mark")
+    __slots__ = ("key", "capacity", "cls")
 
     def __init__(self, key):
         self.key = key
-        #: flow id -> :class:`_FlowState` of every flow over this link,
-        #: in insertion order.
-        self.users = {}
         #: Capacity the last solve used.  NaN until first read, so the
         #: first read always counts as a change.
         self.capacity = math.nan
-        #: The :class:`_Component` this link belongs to.
-        self.component = None
-        #: Fill scratch: capacity not yet handed out, bytes/s, and the
-        #: number of still-active users.
+        #: The :class:`_LinkClass` this link belongs to.
+        self.cls = None
+
+
+class _LinkClass:
+    """Live links used by exactly the same flows."""
+
+    __slots__ = ("members", "users", "component", "remaining", "live",
+                 "mark")
+
+    def __init__(self, members, users, component):
+        #: The :class:`_LinkState` of each member link.
+        self.members = members
+        for state in members:
+            state.cls = self
+        #: flow id -> :class:`_FlowState` of every flow over the
+        #: members, in insertion order.
+        self.users = users
+        #: The :class:`_Component` this class belongs to.
+        self.component = component
+        #: Fill scratch: the tightest member's capacity not yet handed
+        #: out, bytes/s, and the number of still-active users.
         self.remaining = 0.0
         self.live = 0
-        #: Stamp of the last fill or split walk that visited this link.
+        #: Stamp of the last fill or split walk that visited this class.
         self.mark = 0
 
 
@@ -116,53 +142,76 @@ def _capacity_error(capacity, key):
     )
 
 
-def _fill_component(flows, links):
+def _fill_component(flows, classes):
     """Water-fill one connected component; returns ``flow_id -> rate``.
 
     ``flows`` are the component's :class:`_FlowState` records in
-    insertion order; ``links`` are the :class:`_LinkState` of every
-    link they use, in first-appearance order, each with ``remaining``
-    already set to the capacity to fill and ``users`` holding exactly
-    the component's flows over it.  The returned dict is in ``flows``
-    order.
+    insertion order; ``classes`` are the :class:`_LinkClass` of every
+    link they use, each with ``remaining`` set to the capacity of its
+    tightest member and ``users`` holding exactly the component's flows
+    over it.  The returned dict is in ``flows`` order.
 
     Each round raises every still-active flow by the smallest increment
     that saturates a link or reaches a cap, then freezes the flows on
-    saturated links and at their caps.  A round costs O(live links +
-    active flows): each link keeps a count of its still-active users,
-    decremented once per link of each flow that freezes, and only links
-    with a live user take part in later rounds.  A round makes one pass
-    over the live links to drain their budgets, one over the active
-    flows to freeze them, and one over the links to drop those left
-    without an active user; the next round's smallest link share and
-    smallest headroom are found during the last two, scanning with
-    ``<`` in the same link-then-flow order as ``min`` would, so ties
-    (even between signed zeros) resolve the same way.  The allocations
-    themselves live in one shared ``level`` float.  Every active flow
-    started at 0.0 and has received exactly the same sequence of
-    increments, so its per-flow running sum would hold the very same
-    bits; a flow reads ``level`` once, when it freezes.
+    saturated links and at their caps.  A round costs O(live classes +
+    flows it freezes):
+
+    * each class keeps a count of its still-active users, decremented
+      once per class of each freezing flow, and only classes with a
+      live user take part in later rounds;
+    * only the users of classes that saturated are looked at, and a
+      saturated class loses every active user, so each class's users
+      are scanned at most once per fill;
+    * caps are checked along the flows sorted by cap (stable, so in
+      insertion order among equal caps).  ``level >= cap - _EPS`` is
+      monotone in the cap, so the flows at their cap are a prefix of
+      the still-active ones in that order, and the first still-active
+      flow past it has the smallest headroom;
+    * every active flow started at 0.0 and has received exactly the
+      same increments, so the allocations live in one shared ``level``
+      float, which a flow reads once, when it freezes.
+
+    **Why a class gives the link-by-link bits.**  Filling link by link
+    (``tests/network/fill_reference.py``), every member of a class has
+    the same active users in every round, so each receives the same
+    drain, ``increment * live``.  Float subtraction and division round
+    monotonically: if ``a <= b`` then ``a - d <= b - d`` and
+    ``a / n <= b / n`` after rounding.  So the member that starts
+    tightest stays tightest, and its budget is the class's:
+
+    * the least share over the members is the tightest member's share,
+      in value, so every increment is unchanged;
+    * a member saturates (``remaining <= _EPS``) only if the tightest
+      one does, and then all of them freeze the same flows;
+    * the termination guard's smallest slack over a flow's links equals
+      the smallest over its classes' budgets.
+
+    Likewise the least headroom over the active flows equals
+    ``min(cap) - level`` in value.  Only the choice among equal values
+    can differ, which can flip the sign of a zero in ``remaining`` but
+    never in ``level``: ``level`` starts at +0.0 and ``x + -0.0 == x``,
+    and every rate is a ``level``.
     """
     active = {}
     for flow in flows:
         active[flow.flow_id] = flow
-    for state in links:
-        state.live = len(state.users)
-    live = links
-
     allocation = dict.fromkeys(active, 0.0)
+    for cls in classes:
+        cls.live = len(cls.users)
+    live = classes
+    capped = sorted(flows, key=_by_cap)
+    ncapped = len(capped)
+    # Every flow before capped[at] is frozen.
+    at = 0
     level = 0.0
-    # The first round's smallest link share and smallest headroom; each
-    # later round finds its own while filtering links and freezing flows.
-    least_share = least_headroom = math.inf
-    for state in live:
-        share = state.remaining / state.live
+    # The first round's smallest class share and smallest headroom; each
+    # later round finds its own after freezing.
+    least_share = math.inf
+    for cls in live:
+        share = cls.remaining / cls.live
         if share < least_share:
             least_share = share
-    for flow in active.values():
-        headroom = flow.cap - level
-        if headroom < least_headroom:
-            least_headroom = headroom
+    least_headroom = capped[0].cap - level
     while active:
         # Smallest increment that saturates a link or exhausts a cap.
         increment = least_share
@@ -171,59 +220,66 @@ def _fill_component(flows, links):
         if increment < 0.0:
             increment = 0.0
 
-        # Apply the increment, drain link budgets and note saturation.
+        # Apply the increment, drain class budgets and note saturation.
         level += increment
-        saturated = set()
-        for state in live:
-            left = state.remaining - increment * state.live
-            state.remaining = left
+        saturated = []
+        for cls in live:
+            left = cls.remaining - increment * cls.live
+            cls.remaining = left
             if left <= _EPS:
-                saturated.update(state.users)
+                saturated.append(cls)
 
-        # Freeze flows on saturated links and flows at their caps, in
-        # the active dict's own (insertion) order; the others give the
-        # next round's smallest headroom.
-        freezing = []
-        least_headroom = math.inf
-        for fid, flow in active.items():
-            if fid in saturated or level >= flow.cap - _EPS:
-                freezing.append(fid)
-            else:
-                headroom = flow.cap - level
-                if headroom < least_headroom:
-                    least_headroom = headroom
-        if not freezing:
+        # Freeze the users of saturated classes, then the flows at
+        # their caps.
+        before = len(active)
+        for cls in saturated:
+            for fid, flow in cls.users.items():
+                if fid in active:
+                    del active[fid]
+                    allocation[fid] = level
+                    for other in flow.classes:
+                        other.live -= 1
+        while at < ncapped:
+            flow = capped[at]
+            fid = flow.flow_id
+            if fid in active:
+                if level < flow.cap - _EPS:
+                    break
+                del active[fid]
+                allocation[fid] = level
+                for other in flow.classes:
+                    other.live -= 1
+            at += 1
+        if len(active) == before:
             # Numerical guard: increment was ~0 without freezing anyone;
             # freeze the tightest flow (the first, on ties) to guarantee
             # termination.
             tight = tightest = None
             for fid, flow in active.items():
                 slack = min(
-                    [state.remaining for state in flow.states] +
+                    [cls.remaining for cls in flow.classes] +
                     [flow.cap - level]
                 )
                 if tight is None or slack < tightest:
                     tight, tightest = fid, slack
-            freezing.append(tight)
-            least_headroom = math.inf
-            for fid, flow in active.items():
-                if fid != tight:
-                    headroom = flow.cap - level
-                    if headroom < least_headroom:
-                        least_headroom = headroom
-        for fid in freezing:
-            allocation[fid] = level
-            for state in active.pop(fid).states:
-                state.live -= 1
+            allocation[tight] = level
+            for other in active.pop(tight).classes:
+                other.live -= 1
+        if not active:
+            break
 
-        # Drop links without an active user; the others give the next
-        # round's smallest share.
+        # The next round's smallest headroom is the first still-active
+        # flow's in cap order; drop classes without an active user, the
+        # others give its smallest share.
+        while capped[at].flow_id not in active:
+            at += 1
+        least_headroom = capped[at].cap - level
         kept = []
         least_share = math.inf
-        for state in live:
-            if state.live:
-                kept.append(state)
-                share = state.remaining / state.live
+        for cls in live:
+            if cls.live:
+                kept.append(cls)
+                share = cls.remaining / cls.live
                 if share < least_share:
                     least_share = share
         live = kept
@@ -250,7 +306,8 @@ class IncrementalMaxMinSolver:
     The owner (:class:`repro.network.flow.FlowNetwork`) mirrors its live
     flow set into the solver via :meth:`add_flow` / :meth:`remove_flow`,
     then asks for :meth:`rates` with fresh link capacities whenever the
-    flow set or the environment changed.
+    flow set or the environment changed, and for :meth:`link_loads` to
+    write back what the links carry.
     """
 
     def __init__(self):
@@ -262,6 +319,9 @@ class IncrementalMaxMinSolver:
         self._loose = {}
         #: Components to re-solve at the next :meth:`rates`, in order.
         self._dirty = {}
+        #: The classes the last :meth:`rates` re-solved, for
+        #: :meth:`link_loads`.
+        self._solved = []
         #: Live component count (linkless flows are not components).
         self._components = 0
         #: Insertion sequence numbers, which order flows in a component.
@@ -298,17 +358,43 @@ class IncrementalMaxMinSolver:
             if state is None:
                 state = link_states[key] = _LinkState(key)
             else:
-                touched[state.component] = None
-            state.users[flow_id] = flow
+                touched[state.cls.component] = None
             states.append(state)
-        flow.states = tuple(states)
         if not states:
             self._loose[flow_id] = flow.cap
             return
+        self._attach(flow, states)
         component = self._join(flow, list(touched))
-        for state in states:
-            state.component = component
+        for cls in flow.classes:
+            cls.component = component
         self._dirty[component] = None
+
+    def _attach(self, flow, states):
+        """Make ``flow`` a user of ``states``, its distinct links.
+
+        A class whose members ``flow`` covers only partly splits: the
+        covered members move to a new class.  Links without a class yet
+        form one new class.
+        """
+        covered = {}
+        for state in states:
+            covered.setdefault(state.cls, []).append(state)
+        classes = []
+        for cls, members in covered.items():
+            if cls is None:
+                cls = _LinkClass(members, {}, None)
+            elif len(members) < len(cls.members):
+                users = cls.users
+                part = _LinkClass(members, dict(users), cls.component)
+                cls.members = [
+                    state for state in cls.members if state.cls is cls
+                ]
+                for user in users.values():
+                    user.classes += (part,)
+                cls = part
+            cls.users[flow.flow_id] = flow
+            classes.append(cls)
+        flow.classes = tuple(classes)
 
     def _join(self, flow, touched):
         """The component ``flow`` lands in, merging ``touched`` ones."""
@@ -318,7 +404,7 @@ class IncrementalMaxMinSolver:
         component = touched[0]
         if len(touched) > 1:
             # Keep the largest component's object and repoint the
-            # others' links at it; members stay in insertion order.
+            # others' classes at it; members stay in insertion order.
             for other in touched:
                 if len(other.flows) > len(component.flows):
                     component = other
@@ -333,8 +419,8 @@ class IncrementalMaxMinSolver:
                 if other.split:
                     component.split = True
                 for member in other.flows.values():
-                    for state in member.states:
-                        state.component = component
+                    for cls in member.classes:
+                        cls.component = component
             component.flows = {member.flow_id: member for member in merged}
             self._components -= len(touched) - 1
         component.flows[flow.flow_id] = flow
@@ -343,19 +429,15 @@ class IncrementalMaxMinSolver:
     def remove_flow(self, flow_id):
         """Drop a departed flow; its component splits lazily."""
         flow = self._flows.pop(flow_id)
-        if not flow.states:
+        if not flow.classes:
             self._loose.pop(flow_id, None)
             return
-        component = flow.states[0].component
+        component = flow.classes[0].component
         del component.flows[flow_id]
+        shared, emptied = self._detach(flow)
         link_states = self._links
-        shared = 0
-        for state in flow.states:
-            users = state.users
-            del users[flow_id]
-            if users:
-                shared += 1
-            else:
+        for cls in emptied:
+            for state in cls.members:
                 del link_states[state.key]
         if component.flows:
             if shared > 1:
@@ -366,6 +448,44 @@ class IncrementalMaxMinSolver:
             self._dirty.pop(component, None)
             self._components -= 1
 
+    def _detach(self, flow):
+        """Remove ``flow`` from its classes.
+
+        A class left with the same flows as another class merges into
+        it.  Returns how many of the classes still have flows, and the
+        classes left with none.
+        """
+        fid = flow.flow_id
+        shared = 0
+        emptied = []
+        for cls in flow.classes:
+            users = cls.users
+            del users[fid]
+            if not users:
+                emptied.append(cls)
+                continue
+            shared += 1
+            # A class with exactly these flows is one of the classes of
+            # each of them; it never held ``flow``, or the two classes
+            # would have had the same flows before.
+            for other in next(iter(users.values())).classes:
+                if (other is not cls and len(other.users) == len(users)
+                        and other.users.keys() == users.keys()):
+                    self._merge(cls, other)
+                    break
+        return shared, emptied
+
+    @staticmethod
+    def _merge(cls, other):
+        """Fold two classes with the same flows into one."""
+        if len(cls.members) < len(other.members):
+            cls, other = other, cls
+        for state in other.members:
+            state.cls = cls
+        cls.members += other.members
+        for user in cls.users.values():
+            user.classes = tuple(c for c in user.classes if c is not other)
+
     def invalidate(self):
         """Mark every component for re-solving.
 
@@ -373,7 +493,7 @@ class IncrementalMaxMinSolver:
         their own — but lets callers pin down behaviour in tests.
         """
         for state in self._links.values():
-            self._dirty[state.component] = None
+            self._dirty[state.cls.component] = None
 
     # -- solving -----------------------------------------------------------
 
@@ -395,43 +515,71 @@ class IncrementalMaxMinSolver:
             capacity = link_capacity[key]
             if capacity != state.capacity:
                 state.capacity = _checked(capacity, key)
-                dirty[state.component] = None
+                dirty[state.cls.component] = None
         for component in [c for c in dirty if c.split]:
             self._split(component)
 
         rates = self._loose
         self._loose = {}
         self._dirty = {}
+        solved = []
         for component in dirty:
-            rates.update(self._fill(component.flows.values()))
+            flows = component.flows.values()
+            classes = self._budgeted(flows)
+            rates.update(_fill_component(flows, classes))
+            solved += classes
+        self._solved = solved
         self.solves += len(dirty)
         self.cache_hits += self._components - len(dirty)
         return rates
 
-    def _fill(self, flows, fresh=None):
-        """Water-fill ``flows`` (insertion order) over their links.
+    def link_loads(self, rates):
+        """``(link key, load)`` for every link the last :meth:`rates`
+        call re-solved; ``rates`` is what that call returned.
 
-        Each link's budget starts at its stored capacity, or at
+        A link's load is the sum of its flows' rates, added in insertion
+        order from 0.0.  The members of a class have the same flows in
+        the same order, so the sum is taken once per class.
+        """
+        for cls in self._solved:
+            load = 0.0
+            for fid in cls.users:
+                load += rates[fid]
+            for state in cls.members:
+                yield state.key, load
+
+    def _budgeted(self, flows, fresh=None):
+        """The classes ``flows`` use, in first-appearance order.
+
+        Each class's ``remaining`` is set to its tightest member's
+        capacity (the first member's, on ties): the stored one, or
         ``fresh(key)`` when given (probes read capacities anew without
-        disturbing the stored ones).
+        disturbing the stored ones), which reads and checks every
+        member.
         """
         stamp = next(self._stamps)
-        links = []
+        classes = []
         for flow in flows:
-            for state in flow.states:
-                if state.mark != stamp:
-                    state.mark = stamp
-                    state.remaining = (
-                        state.capacity if fresh is None else fresh(state.key)
-                    )
-                    links.append(state)
-        return _fill_component(flows, links)
+            for cls in flow.classes:
+                if cls.mark != stamp:
+                    cls.mark = stamp
+                    budget = math.inf
+                    for state in cls.members:
+                        capacity = (
+                            state.capacity if fresh is None
+                            else fresh(state.key)
+                        )
+                        if capacity < budget:
+                            budget = capacity
+                    cls.remaining = budget
+                    classes.append(cls)
+        return classes
 
     def _split(self, component):
         """Break ``component`` into its connected pieces.
 
         One walk from each not-yet-reached member, in insertion order,
-        visiting every link and every flow once.  The first piece keeps
+        visiting every class and every flow once.  The first piece keeps
         the component object; every piece is re-solved.
         """
         component.split = False
@@ -448,12 +596,12 @@ class IncrementalMaxMinSolver:
             flow.mark = stamp
             pending = [flow]
             while pending:
-                for state in pending.pop().states:
-                    if state.mark == stamp:
+                for cls in pending.pop().classes:
+                    if cls.mark == stamp:
                         continue
-                    state.mark = stamp
-                    state.component = piece
-                    for user in state.users.values():
+                    cls.mark = stamp
+                    cls.component = piece
+                    for user in cls.users.values():
                         if user.mark != stamp:
                             user.mark = stamp
                             pending.append(user)
@@ -461,7 +609,7 @@ class IncrementalMaxMinSolver:
             self._components += pieces - 1
             component.flows = {}
             for fid, flow in flows.items():
-                flow.states[0].component.flows[fid] = flow
+                flow.classes[0].component.flows[fid] = flow
 
     def probe_rate(self, probe_caps, cap, capacity_of):
         """Rate a hypothetical flow over the probed links would receive.
@@ -498,7 +646,12 @@ class IncrementalMaxMinSolver:
         return rate + 0.0
 
     def _probe_fill(self, probe_caps, cap, capacity_of):
-        """:meth:`probe_rate` for a probe that joins live flows."""
+        """:meth:`probe_rate` for a probe that joins live flows.
+
+        The probe joins the classes of its links as a flow would, for
+        the one fill, and leaves them as a departing flow would, so the
+        classes it split merge back.
+        """
         capacities = dict(probe_caps)
         link_states = self._links
         touched = self._touched(capacities)
@@ -528,15 +681,12 @@ class IncrementalMaxMinSolver:
                 # An idle link: a scratch entry only the probe uses.
                 state = _LinkState(key)
             states.append(state)
-        probe.states = tuple(states)
+        self._attach(probe, states)
         flows.append(probe)
-        for state in states:
-            state.users[_PROBE] = probe
         try:
-            rates = self._fill(flows, fresh)
+            rates = _fill_component(flows, self._budgeted(flows, fresh))
         finally:
-            for state in states:
-                del state.users[_PROBE]
+            self._detach(probe)
         self.probe_solves += 1
         return rates[_PROBE]
 
@@ -547,5 +697,5 @@ class IncrementalMaxMinSolver:
         for key in keys:
             state = link_states.get(key)
             if state is not None:
-                touched[state.component] = None
+                touched[state.cls.component] = None
         return list(touched)

@@ -52,10 +52,10 @@ def component_of_path(filename):
         if len(parts) > 1 and parts[1] == "nws":
             return "nws"
         return "monitoring"
-    if top == "network" and parts[-1] in ("fairness.py", "solver.py"):
-        # The fair-share allocator (oracle + incremental solver) gets
-        # its own row: it is the network layer's main hot path and the
-        # usual suspect when rebalances dominate a profile.
+    if top == "network" and parts[-1] == "solver.py":
+        # The fair-share solver gets its own row: it is the network
+        # layer's main hot path and the usual suspect when rebalances
+        # dominate a profile.
         return "solver"
     return _PACKAGE_COMPONENTS.get(top, top)
 

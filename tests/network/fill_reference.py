@@ -1,11 +1,13 @@
 """Reference max-min allocation for the differential batteries.
 
-:func:`repro.network.solver._fill_component` keeps live per-link
-counts and one shared fill level so that a round costs O(live links +
-active flows), and the incremental solver keeps its link entries and
-components between solves.  This module keeps the straightforward code
-both replaced: :func:`reference_fill_component`, the loop that rescans
-every link's whole user set three times a round, and
+:func:`repro.network.solver._fill_component` fills classes of links
+with identical users, keeps live per-class counts and one shared fill
+level, and checks caps along a cap-sorted prefix, so that a round costs
+O(live classes + flows it freezes); the incremental solver keeps its
+link entries, link classes and components between solves.  This module
+keeps the straightforward code all that replaced:
+:func:`reference_fill_component`, the loop that fills link by link and
+rescans every link's whole user set three times a round, and
 :func:`flow_components`, a union-find over every demand that derives the
 components from scratch.  :func:`reference_allocation` puts the two
 together.  They are slow but plainly correct, and

@@ -1,10 +1,13 @@
 """Differential battery: the water-filling kernel vs the reference loop.
 
-:func:`repro.network.solver._fill_component` counts live users per
-link and keeps one shared fill level instead of rescanning every link's
-user set each round, and it fills from the solver's persistent link
-entries.  The claim is that it performs the same float operations in
-the same order, so :func:`tests.network.fairness.max_min_allocation`
+:func:`repro.network.solver._fill_component` fills classes of links
+with identical users (each budgeted by its tightest member), counts
+live users per class, keeps one shared fill level and checks caps along
+a cap-sorted prefix instead of rescanning every link's user set each
+round, and it fills from the solver's persistent link classes.  The
+claim is that every level it reaches is the one the link-by-link loop
+reaches, bit for bit (the kernel's docstring gives the monotone-rounding
+argument), so :func:`tests.network.fairness.max_min_allocation`
 (a fresh solver, solved once) must equal
 :func:`tests.network.fill_reference.reference_allocation` — the
 reference loop run on each component found by a from-scratch

@@ -195,6 +195,20 @@ def test_extra_links_shared_between_flows():
 
 
 
+def test_a_link_listed_twice_counts_once():
+    """A transfer from a host to itself lists the host's disk as both
+    its source and its sink: the flow occupies it once, in the solver,
+    in ``allocated`` and in ``bytes_carried``."""
+    sim, _, net = make_net(capacity=1000.0)
+    disk = Link("disk", "a-rw", capacity=100.0)
+    flow = net.start_flow("a", "b", 500.0, extra_links=[disk, disk])
+    assert flow.links.count(disk) == 1
+    assert flow.rate == 100.0
+    assert disk.allocated == 100.0
+    sim.run(until=flow.done)
+    assert disk.bytes_carried == pytest.approx(500.0)
+
+
 def test_one_key_names_one_link_object():
     """The live-link registry is keyed by link key; a second object
     reusing a live key would silently lose its capacity."""

@@ -15,10 +15,21 @@ bytes alone would not show: every component is either re-solved whole or
 left alone (``solves + cache_hits`` grows by the number of components),
 the flows of each re-solved component come back in insertion order, and
 a NaN capacity on a live link raises on every call until it is fixed.
+
+The solver fills link *classes* (live links used by exactly the same
+flows) instead of single links, so after every step the battery also
+checks the classes themselves (:func:`_check_classes`): each live link's
+class holds exactly the flows over that link, in insertion order, and
+no two classes hold the same flows.  A second, transfer-shaped battery
+makes classes form, split and merge the way GridFTP transfers do:
+parallel streams over the same path, multi-link private segments
+between one replica and one client, and replica links shared by
+transfers to different clients.
 """
 
 import math
 import struct
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -53,16 +64,104 @@ _ops = st.lists(
 )
 
 
+
+def _transfer_links(client, replica, hops):
+    """One stream's path: the client's edge link and sink channels, the
+    replica→client pair's private hops (the first ``hops`` of them), the
+    replica's uplink and its source channels."""
+    return (
+        [("edge", client), ("sink-disk", client), ("sink-cpu", client)]
+        + [("hop", replica, client, hop) for hop in range(hops)]
+        + [("uplink", replica), ("source-disk", replica),
+           ("source-cpu", replica)]
+    )
+
+
+#: Three clients and three replicas, up to three private hops a pair.
+_TRANSFER_LINKS = list(dict.fromkeys(chain.from_iterable(
+    _transfer_links(client, replica, 3)
+    for client in range(3) for replica in range(3)
+)))
+
+_transfer_ops = st.lists(
+    st.one_of(
+        # client, replica, private hops, streams, per-stream cap
+        st.tuples(st.just("transfer"), st.integers(0, 2), st.integers(0, 2),
+                  st.integers(1, 3), st.integers(1, 4), _cap),
+        st.tuples(st.just("transfer"), st.integers(0, 2), st.integers(0, 2),
+                  st.integers(1, 3), st.integers(1, 4), _cap),
+        st.tuples(st.just("remove"), st.integers(min_value=0)),
+        st.tuples(st.just("remove"), st.integers(min_value=0)),
+        st.tuples(st.just("capacity"), st.sampled_from(_TRANSFER_LINKS),
+                  _capacity),
+        st.tuples(st.just("nan"), st.sampled_from(_TRANSFER_LINKS),
+                  _capacity),
+        # A sensor probe over part of a path splits classes for its fill.
+        st.tuples(st.just("probe"),
+                  st.lists(st.sampled_from(_TRANSFER_LINKS), min_size=1,
+                           max_size=4),
+                  _cap),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
 def _bits(rate):
     return struct.pack("<d", rate)
+
+
+def _classes(solver):
+    """``{member keys: flow ids}`` for every live class of ``solver``."""
+    classes = {}
+    for state in solver._links.values():
+        cls = state.cls
+        classes[id(cls)] = (
+            tuple(sorted(member.key for member in cls.members)),
+            list(cls.users),
+        )
+    return dict(classes.values())
+
+
+def _check_classes(solver, demands):
+    """The solver's link classes agree with ``demands`` (fid ->
+    FlowDemand, in insertion order).
+
+    Each live link's class holds exactly the flows over that link, in
+    insertion order (so all members of a class have identical user
+    sequences); each member points back at its class; no two live
+    classes hold the same flows; and each flow lists the distinct
+    classes of its links once each.
+    """
+    users = {}
+    for fid, demand in demands.items():
+        for link in dict.fromkeys(demand.links):
+            users.setdefault(link, []).append(fid)
+    states = solver._links
+    assert set(states) == set(users)
+    classes = {}
+    for key, state in states.items():
+        cls = state.cls
+        assert list(cls.users) == users[key], key
+        assert any(member is state for member in cls.members)
+        classes[id(cls)] = cls
+    assert sum(len(cls.members) for cls in classes.values()) == len(states)
+    user_sets = [tuple(cls.users) for cls in classes.values()]
+    assert len(set(user_sets)) == len(user_sets)
+    for fid, demand in demands.items():
+        flow = solver._flows[fid]
+        want = {id(states[link].cls) for link in demand.links}
+        assert sorted(map(id, flow.classes)) == sorted(want), fid
 
 
 class _Churn:
     """A solver and the plain model it must agree with."""
 
-    def __init__(self):
+    def __init__(self, capacities=None):
         self.solver = IncrementalMaxMinSolver()
-        self.capacities = {link: 100.0 for link in _LINKS}
+        if capacities is None:
+            capacities = {link: 100.0 for link in _LINKS}
+        self.capacities = dict(capacities)
         #: fid -> FlowDemand, in insertion order.
         self.demands = {}
         #: fid -> rate, folded from every ``rates()`` return.
@@ -115,6 +214,20 @@ class _Churn:
         assert set(self.known) == set(want)
         for fid, rate in want.items():
             assert _bits(self.known[fid]) == _bits(rate), fid
+        _check_classes(solver, self.demands)
+
+        # Every link of the re-solved components is loaded with its
+        # flows' rates, summed in insertion order from 0.0.
+        loads = dict(solver.link_loads(returned))
+        assert set(loads) == {
+            link for fid in returned for link in self.demands[fid].links
+        }
+        for link, load in loads.items():
+            want = 0.0
+            for fid, demand in self.demands.items():
+                if link in demand.links:
+                    want += self.known[fid]
+            assert _bits(load) == _bits(want), link
         return returned
 
     def live_links(self):
@@ -130,16 +243,22 @@ class _Churn:
         demands.append(FlowDemand("__probe__", links, cap))
         want = reference_allocation(demands, capacities)["__probe__"]
         assert _bits(got) == _bits(want)
+        # The classes the probe split for its fill have merged back.
+        _check_classes(self.solver, self.demands)
+        return got
 
 
-@settings(max_examples=300, deadline=None)
-@given(_ops)
-def test_churn_matches_reference_bit_for_bit(ops):
-    churn = _Churn()
+def _run(churn, ops):
+    """Apply ``ops`` to ``churn``, checking after every step."""
     for op in ops:
         kind = op[0]
         if kind == "add":
             churn.add(op[1], op[2])
+        elif kind == "transfer":
+            _, client, replica, hops, streams, cap = op
+            links = _transfer_links(client, replica, hops)
+            for _ in range(streams):
+                churn.add(links, cap)
         elif kind == "remove":
             if not churn.demands:
                 continue
@@ -160,6 +279,22 @@ def test_churn_matches_reference_bit_for_bit(ops):
             churn.probe(op[1], op[2])
             continue
         churn.check()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ops)
+def test_churn_matches_reference_bit_for_bit(ops):
+    _run(_Churn(), ops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_capacity, min_size=len(_TRANSFER_LINKS),
+             max_size=len(_TRANSFER_LINKS)),
+    _transfer_ops,
+)
+def test_transfer_churn_matches_reference_bit_for_bit(capacities, ops):
+    _run(_Churn(dict(zip(_TRANSFER_LINKS, capacities))), ops)
 
 
 def test_add_merges_the_components_it_touches():
@@ -322,3 +457,135 @@ def test_probe_reads_fresh_capacities():
     churn.probe(["a"], math.inf)
     # The stored capacity is untouched, so the change is still seen.
     assert churn.check() == {"f0": 8.0}
+
+
+# -- link classes ---------------------------------------------------------
+
+
+def test_add_covering_part_of_a_class_splits_it():
+    churn = _Churn()
+    churn.add(["a", "b", "c"], math.inf)
+    churn.add(["a", "b", "c"], math.inf)
+    churn.check()
+    assert _classes(churn.solver) == {("a", "b", "c"): ["f0", "f1"]}
+    churn.add(["b"], 10.0)
+    churn.check()
+    assert _classes(churn.solver) == {
+        ("a", "c"): ["f0", "f1"],
+        ("b",): ["f0", "f1", "f2"],
+    }
+    # A flow covering a class whole keeps its object.
+    cls = churn.solver._links["b"].cls
+    churn.add(["b", "d"], math.inf)
+    churn.check()
+    assert churn.solver._links["b"].cls is cls
+
+
+def test_removal_that_makes_two_classes_equal_merges_them():
+    churn = _Churn()
+    churn.add(["a", "b", "c"], math.inf)
+    churn.add(["b"], math.inf)
+    churn.add(["c", "d"], math.inf)
+    churn.check()
+    assert _classes(churn.solver) == {
+        ("a",): ["f0"],
+        ("b",): ["f0", "f1"],
+        ("c",): ["f0", "f2"],
+        ("d",): ["f2"],
+    }
+    churn.remove("f1")
+    churn.check()
+    assert _classes(churn.solver) == {
+        ("a", "b"): ["f0"],
+        ("c",): ["f0", "f2"],
+        ("d",): ["f2"],
+    }
+    churn.remove("f2")
+    churn.check()
+    assert _classes(churn.solver) == {("a", "b", "c"): ["f0"]}
+
+
+def test_merge_partner_has_the_same_flows_not_just_as_many():
+    """f0's first class, {a}, holds as many flows as {c} after f3
+    leaves, but not the same ones: {c} merges with {b}."""
+    churn = _Churn()
+    churn.add(["a", "b", "c"], math.inf)
+    churn.add(["b", "c"], math.inf)
+    churn.add(["a"], math.inf)
+    churn.add(["c"], math.inf)
+    churn.check()
+    churn.remove("f3")
+    churn.check()
+    assert _classes(churn.solver) == {
+        ("a",): ["f0", "f2"],
+        ("b", "c"): ["f0", "f1"],
+    }
+
+
+def test_capacity_change_that_moves_the_tightest_member():
+    churn = _Churn()
+    churn.capacities.update(a=30.0, b=50.0, c=70.0)
+    churn.add(["a", "b", "c"], math.inf)
+    churn.add(["a", "b", "c"], math.inf)
+    assert churn.check() == {"f0": 15.0, "f1": 15.0}
+    churn.capacities["a"] = 90.0
+    assert churn.check() == {"f0": 25.0, "f1": 25.0}
+    churn.capacities["c"] = 10.0
+    assert churn.check() == {"f0": 5.0, "f1": 5.0}
+    # Equal capacities: the first member budgets the class.
+    churn.capacities.update(a=10.0, b=10.0)
+    assert churn.check() == {"f0": 5.0, "f1": 5.0}
+
+
+def test_nan_on_a_non_tightest_member_raises():
+    churn = _Churn()
+    churn.capacities.update(a=10.0, b=100.0)
+    churn.add(["a", "b"], math.inf)
+    churn.check()
+    churn.capacities["b"] = math.nan
+    for _ in range(2):
+        with pytest.raises(ValueError, match="NaN"):
+            churn.solver.rates(churn.capacities)
+    # A probe reads every member of the classes it fills, too.
+    with pytest.raises(ValueError, match="NaN"):
+        churn.solver.probe_rate(
+            [("a", 10.0)], math.inf, churn.capacities.__getitem__
+        )
+    _check_classes(churn.solver, churn.demands)
+    churn.capacities["b"] = 100.0
+    churn.check()
+
+
+def test_probe_covering_part_of_a_class():
+    churn = _Churn()
+    churn.capacities.update(a=100.0, b=12.0, c=40.0)
+    churn.add(["a", "b", "c"], 5.0)
+    churn.add(["a", "b", "c"], math.inf)
+    churn.check()
+    classes = _classes(churn.solver)
+    assert classes == {("a", "b", "c"): ["f0", "f1"]}
+    # The probe shares only c, whose budget is 40, not the class's 12:
+    # f0 stops at its cap (5), f1 when a and b run out (7), and the
+    # probe takes what is left of c.
+    assert churn.probe(["c", "e"], math.inf) == 28.0
+    assert churn.probe(["b"], math.inf) == 4.0
+    assert _classes(churn.solver) == classes
+    # Probing changes nothing: the next solve re-solves nothing.
+    assert churn.check() == {}
+
+
+def test_signed_zero_caps_and_capacities_in_classes():
+    churn = _Churn()
+    churn.capacities.update(a=-0.0, b=0.0, c=3.0, d=-0.0)
+    churn.add(["a", "b", "c"], -0.0)
+    churn.add(["a", "b", "c"], 0.0)
+    churn.add(["c", "d"], -0.0)
+    churn.add(["c"], 0.0)
+    churn.add(["c"], math.inf)
+    churn.check()
+    churn.probe(["b", "c"], -0.0)
+    churn.probe(["d"], math.inf)
+    churn.capacities.update(a=0.0, b=-0.0)
+    churn.check()
+    churn.remove("f2")
+    churn.check()

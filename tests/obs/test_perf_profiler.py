@@ -34,7 +34,6 @@ class TestComponentOfPath:
         ("/x/src/repro/core/server.py", "selection"),
         ("/x/src/repro/integrity/repair.py", "integrity"),
         ("/x/src/repro/network/fairshare.py", "network"),
-        ("/x/src/repro/network/fairness.py", "solver"),
         ("/x/src/repro/network/solver.py", "solver"),
         ("/x/src/repro/network/flow.py", "network"),
         ("/x/src/repro/sim/process.py", "kernel"),

@@ -5,8 +5,8 @@ for a path; on ``scaled(1000)`` the cache misses are most of the
 routing time.  The miss sequence is seeded and shaped like a selection
 run's: groups of three sources take turns, each asking for three
 destinations.  ``test_bench_route_misses`` replays it through a fresh
-:class:`~repro.network.Router`, which resumes each source's paused
-search, and through the per-pair reference kept under ``tests/network/``,
+:class:`~repro.network.Router`, which walks pairs inside one stub tree
+and resumes each source's paused search for the rest, and through the per-pair reference kept under ``tests/network/``,
 which searches afresh on every miss.  The routes must be equal.  Run
 with ``PYTHONPATH=src python -m pytest benchmarks/test_bench_routing.py
 --benchmark-only``.

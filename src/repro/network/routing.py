@@ -1,14 +1,35 @@
 """Latency-weighted routing over a :class:`Topology`.
 
-Paths come from a Dijkstra-style search with link latency as the edge
-weight (ties broken by hop count), standing in for the static IP
-routing of the paper's testbed.  The search adds to its frontier with
-``append`` rather than ``heapq.heappush``, so ``heappop`` does not
-always return the nearest node.  On a tree-shaped grid such as the
-paper's testbed there is only one route per pair, but a multi-region
-route can be longer than the shortest one (ROADMAP Finding 1).  Fixing
-that changes the routes of every multi-region exhibit and the pinned
-perfbench references, so it waits for a change allowed to re-pin them.
+Paths are latency-weighted routes (ties broken by hop count), standing
+in for the static IP routing of the paper's testbed.  Most pairs never
+need a search:
+
+* **Stub forest.**  Peeling the undirected graph, by repeatedly
+  removing nodes of degree at most one, leaves the core (its 2-core)
+  and a forest of stub trees, each hanging from one core node (or, for
+  a component that is itself a tree, rooted at the node peeled last).
+  On the generated grids, hosts and site switches are stubs and the
+  region routers are core; dual-homed switches stay core.  Peeling is
+  O(nodes + links) and is done once per ``Topology.version``, at its
+  first cache miss.
+* **Tree pairs are walked.**  A tree touches the rest of the graph only
+  at its root, so a simple path between two of its nodes that left it
+  would pass the root twice: the tree path is the only simple path
+  between them.  A search's parent links always form a simple path
+  (each parent was settled before its child), so for such a pair the
+  search could only return the tree path, whatever order its frontier
+  pops in.  The router therefore walks both nodes up to their common
+  ancestor and joins the up-links to the down-links, at O(path
+  length).  If a directed link on that walk is missing, there is no
+  route, and the search is left to say so.
+* **Every other pair is searched**, by a Dijkstra-style search resumed
+  per source.  It adds to its frontier with ``append`` rather than
+  ``heapq.heappush``, so ``heappop`` does not always return the nearest
+  node and a route that crosses the core can be longer than the
+  shortest one (ROADMAP Finding 1).  Fixing that changes the routes of
+  every multi-region exhibit and the pinned perfbench references, so
+  it waits for a change allowed to re-pin them.  The stub walk does
+  not depend on it.
 
 Computed paths are cached and invalidated when the topology changes.
 """
@@ -120,17 +141,112 @@ class _Search:
         return links
 
 
+class _Stub:
+    """A node of a stub tree: its attachment towards the tree's root.
+
+    ``parent`` is the :class:`_Stub` of the neighbour it hangs from
+    (``None`` at the root), ``depth`` its distance from ``root`` in
+    hops, ``up`` the link to the parent and ``down`` the link back
+    (either ``None`` where the topology has no such directed link).
+    """
+
+    __slots__ = ("parent", "depth", "root", "up", "down")
+
+    def __init__(self, parent, depth, root, up, down):
+        self.parent = parent
+        self.depth = depth
+        self.root = root
+        self.up = up
+        self.down = down
+
+
+def _stub_forest(topology):
+    """Peel ``topology`` into its stub forest: node -> :class:`_Stub`.
+
+    Holds every peeled node and every core node a tree hangs from; a
+    core node with no tree is absent.  O(nodes + links).
+    """
+    links = {}
+    # Undirected neighbours, in dicts so that peeling is deterministic.
+    nbrs = {node.name: {} for node in topology.nodes()}
+    for link in topology.links():
+        if link.src != link.dst:
+            links[link.key] = link
+            nbrs[link.src][link.dst] = None
+            nbrs[link.dst][link.src] = None
+    stack = [name for name, around in nbrs.items() if len(around) <= 1]
+    peeled = []
+    attach = {}
+    while stack:
+        node = stack.pop()
+        peeled.append(node)
+        around = nbrs[node]
+        if around:
+            parent, _ = around.popitem()
+            attach[node] = parent
+            rest = nbrs[parent]
+            del rest[node]
+            # Each node is pushed once: at degree <= 1 initially, or
+            # when peeling drops it from two to one.
+            if len(rest) == 1:
+                stack.append(parent)
+    forest = {}
+    for node in reversed(peeled):
+        parent = attach.get(node)
+        if parent is None:
+            forest[node] = _Stub(None, 0, node, None, None)
+            continue
+        above = forest.get(parent)
+        if above is None:
+            above = forest[parent] = _Stub(None, 0, parent, None, None)
+        forest[node] = _Stub(
+            above, above.depth + 1, above.root,
+            links.get((node, parent)), links.get((parent, node)),
+        )
+    return forest
+
+
+def _tree_links(forest, src, dst):
+    """The tree path from ``src`` to ``dst`` if both hang in one stub
+    tree and each of its directed links exists, else ``None``."""
+    a = forest.get(src)
+    b = forest.get(dst)
+    if a is None or b is None or a.root != b.root:
+        return None
+    up = []
+    down = []
+    while a.depth > b.depth:
+        up.append(a.up)
+        a = a.parent
+    while b.depth > a.depth:
+        down.append(b.down)
+        b = b.parent
+    while a is not b:
+        up.append(a.up)
+        a = a.parent
+        down.append(b.down)
+        b = b.parent
+    if None in up or None in down:
+        return None
+    down.reverse()
+    up.extend(down)
+    return up
+
+
 class Router:
     """Latency-weighted router with a path cache.
 
-    Routes come from the append-frontier search described in the module
-    docstring, so they are not always latency-shortest (ROADMAP
-    Finding 1).  A cache miss resumes its source's paused search, if
-    one of the last :data:`_LIVE_SEARCHES` sources is still live,
-    instead of searching again from the source.  Until a search settles
-    its target it never reads the target, and a settled node's parent
-    link never changes, so a resumed search returns exactly the route a
-    fresh one would.
+    A cache miss between two nodes of one stub tree walks the tree (see
+    the module docstring); the forest is rebuilt at the first miss of
+    each topology version.  Any other miss resumes its source's paused
+    search, if one of the last :data:`_LIVE_SEARCHES` sources is still
+    live, instead of searching again from the source.  Until a search
+    settles its target it never reads the target, and a settled node's
+    parent link never changes, so a resumed search returns exactly the
+    route a fresh one would.  The search's append frontier makes some
+    routes across the core longer than the shortest (ROADMAP Finding
+    1); a tree pair's route is its only simple path, so the walk agrees
+    with any search.
     """
 
     def __init__(self, topology):
@@ -141,8 +257,11 @@ class Router:
         self._searches = {}
         #: Node -> ``((dst, latency, link), ...)`` for this version.
         self._adjacency = {}
+        #: Node -> :class:`_Stub` for this version; ``None`` until the
+        #: version's first miss.
+        self._forest = None
         #: Fresh searches started and nodes settled, over the router's
-        #: life.
+        #: life.  Tree pairs start and settle none.
         self.searches = 0
         self.settled = 0
 
@@ -163,6 +282,7 @@ class Router:
             self._cache.clear()
             self._searches.clear()
             self._adjacency.clear()
+            self._forest = None
             self._version = topo.version
         if not topo.has_node(src):
             raise KeyError(f"unknown node {src!r}")
@@ -171,22 +291,32 @@ class Router:
         if src == dst:
             path = Path(src, dst, [])
         else:
-            searches = self._searches
-            search = searches.pop(src, None)
-            if search is None:
-                search = _Search(src)
-                self.searches += 1
-                self.settled += 1
-                if len(searches) >= _LIVE_SEARCHES:
-                    del searches[next(iter(searches))]
-            searches[src] = search
-            if dst not in search.visited:
-                self._resume(search, dst)
-                if dst not in search.visited:
-                    raise NoRouteError(f"no route {src} -> {dst}")
-            path = Path(src, dst, search.links_to(dst))
+            forest = self._forest
+            if forest is None:
+                forest = self._forest = _stub_forest(topo)
+            links = _tree_links(forest, src, dst)
+            if links is None:
+                links = self._search_links(src, dst)
+            path = Path(src, dst, links)
         self._cache[(src, dst)] = path
         return path
+
+    def _search_links(self, src, dst):
+        """``dst``'s link chain from ``src``'s (resumed) search."""
+        searches = self._searches
+        search = searches.pop(src, None)
+        if search is None:
+            search = _Search(src)
+            self.searches += 1
+            self.settled += 1
+            if len(searches) >= _LIVE_SEARCHES:
+                del searches[next(iter(searches))]
+        searches[src] = search
+        if dst not in search.visited:
+            self._resume(search, dst)
+            if dst not in search.visited:
+                raise NoRouteError(f"no route {src} -> {dst}")
+        return search.links_to(dst)
 
     def _resume(self, search, dst):
         """Run ``search`` on until it settles ``dst`` or runs dry."""

@@ -10,8 +10,9 @@ def pytest_addoption(parser):
     parser.addoption(
         "--sanitize", action="store_true", default=False,
         help="arm the sim-time watchdog on every simulator the tests "
-             "build and the flow-model invariant checks on every flow "
-             "network, and fail tests that break either",
+             "build, the flow-model invariant checks on every flow "
+             "network and a reference search for every route a router "
+             "computes, and fail tests that break any of them",
     )
 
 
@@ -19,14 +20,16 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "no_sanitize: opt a test out of the --sanitize checks "
-        "(for tests that break sim-time or flow invariants on purpose)",
+        "(for tests that break sim-time, flow or route invariants on "
+        "purpose)",
     )
 
 
 @pytest.fixture(autouse=True)
 def _sim_time_sanitizer(request):
-    """Under ``--sanitize``, watch every simulator a test constructs
-    and check every flow network after each reallocation."""
+    """Under ``--sanitize``, watch every simulator a test constructs,
+    check every flow network after each reallocation and every route a
+    router computes."""
     if not request.config.getoption("--sanitize"):
         yield
         return
@@ -35,12 +38,15 @@ def _sim_time_sanitizer(request):
         return
     from repro.analysis.sanitizers import install_global_watchdog
     from tests.network.flow_invariants import install_flow_invariants
+    from tests.network.route_invariants import install_route_invariants
 
     guard = install_global_watchdog()
     flows = install_flow_invariants()
+    routes = install_route_invariants()
     try:
         yield
     finally:
+        routes.uninstall()
         flows.uninstall()
         guard.uninstall()
     violations = guard.violations()
@@ -51,6 +57,11 @@ def _sim_time_sanitizer(request):
     violations = flows.violations()
     assert not violations, (
         "flow-model invariant violations:\n"
+        + "\n".join(str(v) for v in violations)
+    )
+    violations = routes.violations()
+    assert not violations, (
+        "route invariant violations:\n"
         + "\n".join(str(v) for v in violations)
     )
 

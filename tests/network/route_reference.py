@@ -1,14 +1,17 @@
 """Reference routers for the routing differential battery.
 
-:class:`repro.network.routing.Router` keeps a few paused searches, one
-per source, and resumes a source's search for its next destination
+:class:`repro.network.routing.Router` walks the tree path for pairs
+inside one stub tree, keeps a few paused searches, one per source, for
+the other pairs, and resumes a source's search for its next destination
 instead of starting again from the source.  :class:`ReferenceRouter`
 keeps the per-pair search it replaced, verbatim: every cache miss runs
 a fresh search from ``src`` that stops when it settles ``dst``.  The
 only addition is :attr:`ReferenceRouter.settled`, the number of nodes
 its searches settled, which the tests compare with the router's own
 counter.  ``tests/network/test_route_differential.py`` requires the
-router to return the same link sequences and raise the same errors.
+router to return the same link sequences and raise the same errors, and
+``tests/network/route_invariants.py`` checks every route computed under
+``pytest --sanitize`` against it.
 
 Like the library's router, the reference adds to its frontier with
 ``append``, not ``heapq.heappush``, so ``heappop`` does not always

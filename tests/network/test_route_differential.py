@@ -10,6 +10,12 @@ therefore return exactly the link sequences of
 afresh on every miss, and raise :class:`NoRouteError` for the same
 queries, whatever the query order, however many sources are live and
 whenever links are added.
+
+Pairs inside one stub tree are not searched at all: the router walks
+the tree path, which is the only simple path between them.  The stub
+cases below hang chains and trees off small cyclic cores, with links
+missing in one direction, self-loops and isolated nodes, and add links
+that move nodes from a tree into the core.
 """
 
 import random
@@ -79,9 +85,7 @@ def _add_link(topology, src, dst, latency):
         topology.add_link(src, dst, 1.0, latency=latency)
 
 
-@settings(max_examples=400, deadline=None)
-@given(_scenario())
-def test_router_matches_reference(scenario):
+def _run_script(scenario):
     names, edges, steps = scenario
     topology = Topology()
     for name in names:
@@ -99,11 +103,144 @@ def test_router_matches_reference(scenario):
     assert router.settled <= reference.settled
 
 
+@settings(max_examples=400, deadline=None)
+@given(_scenario())
+def test_router_matches_reference(scenario):
+    _run_script(scenario)
+
+
+@st.composite
+def _stub_scenario(draw):
+    """A cyclic core with stub chains and trees, plus a query script.
+
+    The core is a ring of three to five nodes.  Each stub hangs from an
+    earlier node, core or stub, by a link in both directions or in one
+    only.  Some nodes get self-loops and a few stay isolated.  The
+    script's link additions can close a cycle through a tree, moving
+    its nodes into the core after their tree routes were cached.
+    """
+    ring = draw(st.integers(min_value=3, max_value=5))
+    stubs = draw(st.integers(min_value=1, max_value=12))
+    isolated = draw(st.integers(min_value=0, max_value=2))
+    core = [f"c{index}" for index in range(ring)]
+    names = core + [f"s{index}" for index in range(stubs)]
+    edges = []
+    for index in range(ring):
+        a, b = core[index], core[(index + 1) % ring]
+        edges.append((a, b, draw(_latency)))
+        edges.append((b, a, draw(_latency)))
+    direction = st.sampled_from(["both", "both", "up", "down"])
+    for index in range(ring, len(names)):
+        stub = names[index]
+        parent = names[draw(st.integers(min_value=0, max_value=index - 1))]
+        way = draw(direction)
+        if way != "down":
+            edges.append((stub, parent, draw(_latency)))
+        if way != "up":
+            edges.append((parent, stub, draw(_latency)))
+    names += [f"i{index}" for index in range(isolated)]
+    node = st.sampled_from(names)
+    loops = draw(st.lists(node, max_size=3))
+    edges += [(name, name, 0.0) for name in loops]
+    steps = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("query"), node, node),
+            st.tuples(st.just("link"), node, node, _latency),
+        ),
+        min_size=1, max_size=60,
+    ))
+    return names, edges, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stub_scenario())
+def test_stub_trees_match_reference(scenario):
+    _run_script(scenario)
+
+
+def _chain_off_a_ring():
+    """Ring ``x``-``y``-``z``; chain ``x``-``s1``-``s2`` and stub
+    ``x``-``t1``, all duplex."""
+    topology = Topology()
+    for name in ("x", "y", "z", "s1", "s2", "t1"):
+        topology.add_node(name)
+    for a, b in (("x", "y"), ("y", "z"), ("z", "x"), ("x", "s1"),
+                 ("s1", "s2"), ("x", "t1")):
+        topology.add_duplex_link(a, b, 1.0, latency=0.001)
+    return topology
+
+
+def test_tree_pairs_are_walked_without_a_search():
+    topology = _chain_off_a_ring()
+    router, _ = _assert_same_routes(
+        topology, [("s2", "t1"), ("t1", "s2"), ("x", "s2"), ("s1", "s2")]
+    )
+    assert [link.key for link in router.path("s2", "t1")] == [
+        ("s2", "s1"), ("s1", "x"), ("x", "t1"),
+    ]
+    assert router.searches == 0
+    assert router.settled == 0
+
+
+def test_one_way_stub_link_raises_like_the_reference():
+    topology = _chain_off_a_ring()
+    topology.add_node("u")
+    topology.add_link("u", "s2", 1.0, latency=0.001)
+    router, _ = _assert_same_routes(
+        topology, [("u", "t1"), ("t1", "u"), ("u", "y"), ("y", "u")]
+    )
+    with pytest.raises(NoRouteError):
+        router.path("t1", "u")
+
+
+def test_added_link_turns_a_cached_tree_pair_into_a_core_pair():
+    topology = _chain_off_a_ring()
+    router = Router(topology)
+    reference = ReferenceRouter(topology)
+    walked = router.path("s2", "t1")
+    assert len(walked) == 3 and router.searches == 0
+    topology.add_duplex_link("s2", "t1", 1.0, latency=0.0005)
+    for src, dst in (("s2", "t1"), ("t1", "s2"), ("s1", "t1"),
+                     ("s2", "x")):
+        assert _outcome(router, src, dst) == _outcome(reference, src, dst)
+    # s2, s1, x and t1 now lie on a cycle: every pair above searched.
+    assert router.searches == 3
+    assert [link.key for link in router.path("s2", "t1")] == [("s2", "t1")]
+
+
+def test_same_region_pairs_settle_nothing_on_a_hundred_sites():
+    """Hosts of one region hang from its router: their routes are
+    walked.  Hosts of two regions cross the core and search."""
+    spec = scaled(100)
+    topology = _topology(spec)
+    by_region = {}
+    for host in topology.hosts():
+        by_region.setdefault(spec.region_of(host.site).name, []).append(
+            host.name
+        )
+    first, second = list(by_region.values())[:2]
+    router, _ = _assert_same_routes(
+        topology, [(first[0], first[-1]), (first[-1], first[0])]
+    )
+    assert (router.searches, router.settled) == (0, 0)
+    assert len(router.path(first[0], first[-1])) == 4
+    _assert_same_routes(topology, [(first[0], second[0])])
+    router.path(first[0], second[0])
+    assert router.searches == 1
+    assert router.settled > 0
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_many_sources_interleaved_on_a_grid(seed):
-    """Round-robin over more sources than the bound evicts searches."""
-    topology = _topology(scaled(12, seed=seed % 4))
+    """Round-robin over more sources than the bound evicts searches.
+
+    Two sites per region give six regions whose edge tier is dual-homed
+    into the metro ring, so most pairs cross a cyclic core and search;
+    with the default region size ``scaled(12)`` is one tree and every
+    pair would be walked.
+    """
+    topology = _topology(scaled(12, seed=seed % 4, sites_per_region=2))
     rng = random.Random(seed)
     nodes = [node.name for node in topology.nodes()]
     sources = rng.sample(nodes, 2 * _LIVE_SEARCHES + 1)
@@ -157,11 +294,16 @@ def test_unknown_nodes_raise_key_error():
 
 
 def test_added_link_restarts_paused_searches():
+    """``a``, ``b`` and ``c`` form a cycle, so their pairs search; ``d``
+    hangs from ``b`` by a one-way link until ``a -> d`` puts it in the
+    core."""
     topology = Topology()
     for name in "abcd":
         topology.add_node(name)
     topology.add_link("a", "b", 1.0, latency=0.002)
     topology.add_link("b", "c", 1.0, latency=0.002)
+    topology.add_link("c", "a", 1.0, latency=0.002)
+    topology.add_link("d", "b", 1.0, latency=0.002)
     router = Router(topology)
     assert [link.dst for link in router.path("a", "b")] == ["b"]
     with pytest.raises(NoRouteError):

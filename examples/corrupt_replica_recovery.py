@@ -19,7 +19,7 @@ rot silently corrupts a block of the preferred (same-site) replica at
 Run:  python examples/corrupt_replica_recovery.py
 """
 
-from repro.gridftp import GridFtpClient, ReliableFileTransfer
+from repro.gridftp import BackoffPolicy, GridFtpClient, ReliableFileTransfer
 from repro.integrity import ReplicaHealthRegistry, ReplicaRepairService
 from repro.testbed import build_testbed
 from repro.units import MiB, megabytes
@@ -60,7 +60,8 @@ def main():
     )
     rft = ReliableFileTransfer(
         client,
-        marker_interval_bytes=16 * MiB, retry_backoff=2.0,
+        marker_interval_bytes=16 * MiB,
+        backoff=BackoffPolicy.constant(2.0),
     )
 
     def rot_mid_transfer():

@@ -24,7 +24,7 @@ feed it to a :class:`~repro.chaos.engine.ChaosEngine`.
 """
 
 from repro.chaos.spec import Campaign, EventSpec, Schedule
-from repro.testbed.builder import BACKBONE
+from repro.testbed.topology.presets import FLAT_ROUTER
 
 __all__ = [
     "CAMPAIGNS",
@@ -38,7 +38,7 @@ __all__ = [
 
 def _uplink(site):
     """The (switch, backbone) endpoint pair of a site's WAN link."""
-    return (f"{site.lower()}-switch", BACKBONE)
+    return (f"{site.lower()}-switch", FLAT_ROUTER)
 
 
 def flaky_wan_link(site="HIT", horizon=600.0, outage=20.0,

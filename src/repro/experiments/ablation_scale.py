@@ -13,6 +13,7 @@ from repro.experiments.base import ExperimentResult
 from repro.experiments.harness import register_replicas, run_selection_trace
 from repro.testbed.builder import build_testbed
 from repro.testbed.sites import SiteSpec
+from repro.testbed.topology import flat
 from repro.units import MiB, mbit_per_s
 
 __all__ = ["run_ablation_scale", "synthetic_sites"]
@@ -65,8 +66,8 @@ def run_ablation_scale(site_counts=(3, 6, 12), rounds=6, gap=60.0,
         for policy in ("cost-model", "random"):
             sites = synthetic_sites(n_sites)
             testbed = build_testbed(
-                sites=sites, seed=seed, dynamic=True,
-                sensor_period=15.0,
+                topology=flat(sites, f"synthetic-{n_sites}"), seed=seed,
+                dynamic=True, sensor_period=15.0,
             )
             client = sites[0].host_names[0]
             # Replicas on every site except the client's.

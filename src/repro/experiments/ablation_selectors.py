@@ -28,9 +28,6 @@ SELECTOR_NAMES = (
     "bandwidth-only", "cost-model", "oracle",
 )
 
-CLIENT = "alpha1"
-REPLICA_HOSTS = ("alpha4", "hit0", "lz02")
-
 
 def _make_selector(name, testbed):
     grid, info = testbed.grid, testbed.information
@@ -54,17 +51,14 @@ def run_ablation_selectors(selector_names=SELECTOR_NAMES, rounds=8,
     """One row per policy: mean/total fetch time, oracle agreement.
 
     ``topology`` runs the comparison on a topology preset (spec or
-    name); client and replica hosts then come from the spec's canonical
-    roles.  ``warmup=None`` uses the testbed's derived recommendation
-    (120 s on the paper's testbed).
+    name, default ``"paper3"``); client and replica hosts come from the
+    spec's canonical roles.  ``warmup=None`` uses the testbed's derived
+    recommendation (120 s on the paper's testbed).
     """
     rows = []
     for name in selector_names:
         testbed = build_testbed(seed=seed, dynamic=True, topology=topology)
-        if topology is not None:
-            client, replica_hosts = testbed.roles
-        else:
-            client, replica_hosts = CLIENT, REPLICA_HOSTS
+        client, replica_hosts = testbed.roles
         register_replicas(testbed, "file-a", replica_hosts, file_size_mb)
         testbed.warm_up(warmup)
         selector = _make_selector(name, testbed)

@@ -20,7 +20,8 @@ from repro.core.baselines import CostModelSelector
 from repro.experiments.base import ExperimentResult
 from repro.experiments.harness import register_replicas, run_selection_trace
 from repro.experiments.ablation_scale import synthetic_sites
-from repro.testbed.builder import BACKBONE, build_testbed
+from repro.testbed.builder import build_testbed
+from repro.testbed.topology import FLAT_ROUTER, flat
 
 __all__ = ["run_ablation_staleness", "DEFAULT_PERIODS"]
 
@@ -41,8 +42,8 @@ def _alternating_congestion(grid, site_a, site_b, holding, stream):
 
     def links_of(site):
         return [
-            grid.topology.link(site.switch_name, BACKBONE),
-            grid.topology.link(BACKBONE, site.switch_name),
+            grid.topology.link(site.switch_name, FLAT_ROUTER),
+            grid.topology.link(FLAT_ROUTER, site.switch_name),
         ]
 
     def run():
@@ -69,7 +70,8 @@ def run_ablation_staleness(periods=DEFAULT_PERIODS, rounds=12, gap=50.0,
     for period in periods:
         sites = synthetic_sites(3)
         testbed = build_testbed(
-            sites=sites, seed=seed, dynamic=False, sensor_period=period
+            topology=flat(sites, "synthetic-3"), seed=seed, dynamic=False,
+            sensor_period=period,
         )
         grid = testbed.grid
         client = sites[0].host_names[0]

@@ -15,9 +15,6 @@ from repro.testbed import build_testbed
 
 __all__ = ["run_ablation_weights", "DEFAULT_WEIGHT_GRID"]
 
-CLIENT = "alpha1"
-REPLICA_HOSTS = ("alpha4", "hit0", "lz02")
-
 #: (bandwidth, cpu, io) combinations: the paper's pick, pure-bandwidth,
 #: uniform, and load-heavy corners.
 DEFAULT_WEIGHT_GRID = (
@@ -36,8 +33,9 @@ def run_ablation_weights(weight_grid=DEFAULT_WEIGHT_GRID, rounds=8,
                          warmup=None, topology=None):
     """One row per weight triple: realised fetch statistics.
 
-    ``topology`` runs the sweep on a topology preset (spec or name);
-    client and replica hosts then come from the spec's canonical roles.
+    ``topology`` runs the sweep on a topology preset (spec or name,
+    default ``"paper3"``); client and replica hosts come from the spec's
+    canonical roles.
     ``warmup=None`` uses the testbed's derived recommendation (120 s on
     the paper's testbed).
     """
@@ -45,10 +43,7 @@ def run_ablation_weights(weight_grid=DEFAULT_WEIGHT_GRID, rounds=8,
     for bw, cpu, io in weight_grid:
         weights = SelectionWeights(bw, cpu, io)
         testbed = build_testbed(seed=seed, dynamic=True, topology=topology)
-        if topology is not None:
-            client, replica_hosts = testbed.roles
-        else:
-            client, replica_hosts = CLIENT, REPLICA_HOSTS
+        client, replica_hosts = testbed.roles
         register_replicas(testbed, "file-a", replica_hosts, file_size_mb)
         testbed.warm_up(warmup)
         selector = CostModelSelector(

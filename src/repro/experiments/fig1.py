@@ -14,19 +14,17 @@ from repro.units import megabytes
 
 __all__ = ["run_fig1"]
 
-CLIENT = "alpha1"
-REPLICA_HOSTS = ("alpha4", "hit0", "lz02")
-
 
 def run_fig1(file_size_mb=64, seed=0, warmup=120.0):
     """Execute the Fig. 1 scenario step by step."""
     testbed = build_testbed(seed=seed)
     grid = testbed.grid
+    client_host, replica_hosts = testbed.roles
     size = megabytes(file_size_mb)
     testbed.catalog.create_logical_file(
         "file-a", size, attributes={"kind": "biological-db"}
     )
-    for host_name in REPLICA_HOSTS:
+    for host_name in replica_hosts:
         grid.host(host_name).filesystem.create("file-a", size)
         testbed.catalog.register_replica("file-a", host_name)
     testbed.warm_up(warmup)
@@ -42,20 +40,20 @@ def run_fig1(file_size_mb=64, seed=0, warmup=120.0):
         })
 
     def scenario():
-        note("application", f"user logged in at {CLIENT}; requests "
+        note("application", f"user logged in at {client_host}; requests "
                             f"logical file 'file-a'")
-        local = "file-a" in grid.host(CLIENT).filesystem
+        local = "file-a" in grid.host(client_host).filesystem
         note("application", f"local check: present={local}")
 
         entries = yield from testbed.catalog.query_locations(
-            CLIENT, "file-a"
+            client_host, "file-a"
         )
         note("replica catalog", "returned physical locations: "
              + ", ".join(e.host_name for e in entries))
 
         decision = yield from (
             testbed.selection_server.score_candidates(
-                CLIENT, [e.host_name for e in entries]
+                client_host, [e.host_name for e in entries]
             )
         )
         note("information server", "provided BW/CPU/IO factors for "
@@ -63,7 +61,7 @@ def run_fig1(file_size_mb=64, seed=0, warmup=120.0):
         note("selection server", "cost-model ranking: "
              + " > ".join(decision.ranking()))
 
-        client = GridFtpClient(grid, CLIENT)
+        client = GridFtpClient(grid, client_host)
         record = yield from client.get(
             decision.chosen, "file-a", parallelism=2
         )

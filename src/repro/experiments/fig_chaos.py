@@ -30,12 +30,11 @@ from repro.gridftp import (
     TooManyAttemptsError,
 )
 from repro.testbed import build_testbed
+from repro.testbed.topology import paper3
 from repro.units import megabytes
 
 __all__ = ["run_fig_chaos", "CAMPAIGN_NAMES", "POLICY_NAMES"]
 
-CLIENT = "alpha1"
-REPLICA_HOSTS = ("alpha4", "hit0", "lz02")
 CAMPAIGN_NAMES = ("flaky_wan_link", "hot_spot_server", "monitor_blackout")
 POLICY_NAMES = ("cost-model", "proximity", "random")
 
@@ -58,7 +57,8 @@ def _run_cell(campaign_name, policy_name, rounds, gap, file_size_mb,
     """One (campaign, policy) pairing on a fresh same-seed testbed."""
     testbed = build_testbed(seed=seed)
     grid = testbed.grid
-    register_replicas(testbed, "file-a", REPLICA_HOSTS, file_size_mb)
+    client, replica_hosts = testbed.roles
+    register_replicas(testbed, "file-a", replica_hosts, file_size_mb)
     testbed.warm_up(warmup)
 
     campaign = CAMPAIGNS[campaign_name](horizon=horizon)
@@ -76,9 +76,9 @@ def _run_cell(campaign_name, policy_name, rounds, gap, file_size_mb,
                 entry.host_name
                 for entry in testbed.catalog.locations("file-a")
             ]
-            chosen = yield from selector.select(CLIENT, candidates)
+            chosen = yield from selector.select(client, candidates)
             rft = ReliableFileTransfer(
-                GridFtpClient(grid, CLIENT),
+                GridFtpClient(grid, client),
                 marker_interval_bytes=megabytes(8),
                 max_attempts=12,
                 backoff=BackoffPolicy(
@@ -100,7 +100,7 @@ def _run_cell(campaign_name, policy_name, rounds, gap, file_size_mb,
                 stats["elapsed"] += result.elapsed
                 stats["faults"] += result.faults
                 stats["retransmitted"] += result.bytes_retransmitted
-            fs = grid.host(CLIENT).filesystem
+            fs = grid.host(client).filesystem
             for leftover in ("chaos-incoming", "chaos-incoming.chunk"):
                 if leftover in fs:
                     fs.delete(leftover)
@@ -141,11 +141,12 @@ def run_fig_chaos(campaign_names=CAMPAIGN_NAMES,
         for campaign_name in campaign_names
         for policy_name in policy_names
     ]
+    client, _ = paper3().default_roles()
     return ExperimentResult(
         experiment_id="fig_chaos",
         title=(
             f"Selection policies under chaos campaigns "
-            f"({rounds} fetches of {file_size_mb} MB, client {CLIENT})"
+            f"({rounds} fetches of {file_size_mb} MB, client {client})"
         ),
         headers=[
             "campaign", "policy", "completed", "failed",

@@ -38,12 +38,11 @@ from repro.gridftp import (
 )
 from repro.integrity import ReplicaHealthRegistry, ReplicaRepairService
 from repro.testbed import build_testbed
+from repro.testbed.topology import paper3
 from repro.units import megabytes
 
 __all__ = ["run_fig_integrity", "CELLS"]
 
-CLIENT = "alpha1"
-REPLICA_HOSTS = ("alpha4", "hit0", "lz02")
 LOGICAL_NAME = "file-a"
 
 #: (campaign, verify, failover) cells, fault-free baselines first.
@@ -57,12 +56,12 @@ CELLS = (
 )
 
 
-def _make_rft(grid, block_bytes):
+def _make_rft(grid, client, block_bytes):
     # Markers span two manifest blocks, so a corrupt chunk exercises
     # good-block salvage: the clean half is kept, only the bad block
     # moves again.
     return ReliableFileTransfer(
-        GridFtpClient(grid, CLIENT),
+        GridFtpClient(grid, client),
         marker_interval_bytes=2 * block_bytes,
         max_attempts=12,
         backoff=BackoffPolicy(
@@ -77,7 +76,8 @@ def _run_cell(campaign_name, verify, failover, rounds, gap,
     """One (campaign, verify, failover) cell on a fresh same-seed grid."""
     testbed = build_testbed(seed=seed)
     grid = testbed.grid
-    register_replicas(testbed, LOGICAL_NAME, REPLICA_HOSTS, file_size_mb)
+    client, replica_hosts = testbed.roles
+    register_replicas(testbed, LOGICAL_NAME, replica_hosts, file_size_mb)
     lfn = testbed.catalog.logical_file(LOGICAL_NAME)
     testbed.warm_up(warmup)
 
@@ -86,14 +86,14 @@ def _run_cell(campaign_name, verify, failover, rounds, gap,
     )
     testbed.selection_server.health = health
     repair = ReplicaRepairService(
-        grid, testbed.catalog, GridFtpClient(grid, CLIENT), health,
+        grid, testbed.catalog, GridFtpClient(grid, client), health,
         period=repair_period,
     ).start()
 
     engine = None
     if campaign_name == "replica_corruption":
         campaign = replica_corruption(
-            LOGICAL_NAME, REPLICA_HOSTS, horizon=horizon
+            LOGICAL_NAME, replica_hosts, horizon=horizon
         )
         engine = ChaosEngine(
             grid, campaign, testbed=testbed, health=health
@@ -107,7 +107,7 @@ def _run_cell(campaign_name, verify, failover, rounds, gap,
 
     def trace():
         for _ in range(rounds):
-            rft = _make_rft(grid, lfn.manifest.block_bytes)
+            rft = _make_rft(grid, client, lfn.manifest.block_bytes)
             try:
                 if failover:
                     result = yield from rft.get_logical(
@@ -116,7 +116,7 @@ def _run_cell(campaign_name, verify, failover, rounds, gap,
                     )
                 else:
                     decision = yield from testbed.selection_server.select(
-                        CLIENT, LOGICAL_NAME
+                        client, LOGICAL_NAME
                     )
                     result = yield from rft.get(
                         decision.chosen, LOGICAL_NAME,
@@ -137,7 +137,7 @@ def _run_cell(campaign_name, verify, failover, rounds, gap,
                     result.delivered_corrupt_blocks
                 if verify and result.verified_bytes < result.payload_bytes:
                     stats["all_verified"] = False
-            fs = grid.host(CLIENT).filesystem
+            fs = grid.host(client).filesystem
             for leftover in ("integrity-incoming",
                              "integrity-incoming.chunk"):
                 if leftover in fs:
@@ -200,11 +200,12 @@ def run_fig_integrity(cells=CELLS, rounds=6, gap=15.0, file_size_mb=64,
         )
         for campaign_name, verify, failover in cells
     ]
+    client, _ = paper3().default_roles()
     return ExperimentResult(
         experiment_id="fig_integrity",
         title=(
             f"Transfer integrity under replica corruption "
-            f"({rounds} fetches of {file_size_mb} MB, client {CLIENT})"
+            f"({rounds} fetches of {file_size_mb} MB, client {client})"
         ),
         headers=[
             "campaign", "verify", "failover", "completed", "failed",

@@ -17,11 +17,8 @@ from repro.testbed import build_testbed
 from repro.units import megabytes
 
 __all__ = [
-    "run_table1", "CLIENT", "REPLICA_HOSTS", "LOAD_LEVELS", "LOAD_PROFILE",
+    "run_table1", "LOAD_LEVELS", "LOAD_PROFILE",
 ]
-
-CLIENT = "alpha1"
-REPLICA_HOSTS = ("alpha4", "hit0", "lz02")
 
 #: Static background load per candidate: (busy cores, disk utilisation).
 #: alpha4 is computing hard (someone's MPI job), hit0 moderately busy,
@@ -42,8 +39,9 @@ def run_table1(file_size_mb=1024, seed=0, warmup=None,
     """Regenerate Table 1.  One row per candidate replica host.
 
     ``topology`` runs the same scenario on a topology preset (spec or
-    name): the client and replica hosts come from the spec's canonical
-    roles and the background-load profile is applied positionally.
+    name, default ``"paper3"``): the client and replica hosts come from
+    the spec's canonical roles and the background-load profile is
+    applied positionally.
     ``warmup=None`` uses the testbed's derived recommendation (120 s on
     the paper's testbed, longer on long-haul presets).
     """
@@ -51,10 +49,7 @@ def run_table1(file_size_mb=1024, seed=0, warmup=None,
         seed=seed, sensor_period=sensor_period, topology=topology
     )
     grid = testbed.grid
-    if topology is not None:
-        client, replica_hosts = testbed.roles
-    else:
-        client, replica_hosts = CLIENT, REPLICA_HOSTS
+    client, replica_hosts = testbed.roles
 
     size = megabytes(file_size_mb)
     testbed.catalog.create_logical_file("file-a", size)

@@ -86,7 +86,7 @@ class BackoffPolicy:
 
     @classmethod
     def constant(cls, delay):
-        """A fixed, jitter-free delay — the legacy ``retry_backoff``."""
+        """A fixed, jitter-free ``delay`` before every retry."""
         return cls(base=delay, multiplier=1.0, cap=max(delay, 0.0),
                    jitter=0.0)
 

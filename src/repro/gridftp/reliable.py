@@ -263,12 +263,10 @@ class ReliableFileTransfer:
         a fault (unless block verification salvages clean blocks).
     max_attempts:
         Failed chunk attempts tolerated before giving up.
-    retry_backoff:
-        Legacy shorthand: seconds of *constant* backoff after a fault.
-        Ignored when ``backoff`` is given.
     backoff:
         A :class:`~repro.gridftp.backoff.BackoffPolicy`; jitter draws
-        come from the grid's seeded ``rft/backoff`` stream.
+        come from the grid's seeded ``rft/backoff`` stream.  Default:
+        a constant 5 s (``BackoffPolicy.constant(5.0)``).
     attempt_timeout:
         Per-chunk-attempt time budget, seconds; a stalled attempt is
         interrupted and retried.  ``None`` (default) disables the
@@ -280,21 +278,19 @@ class ReliableFileTransfer:
     """
 
     def __init__(self, client, marker_interval_bytes=64 * MiB,
-                 max_attempts=10, retry_backoff=5.0, backoff=None,
-                 attempt_timeout=None, fault_injector=None):
+                 max_attempts=10, backoff=None, attempt_timeout=None,
+                 fault_injector=None):
         if marker_interval_bytes <= 0:
             raise ValueError("marker_interval_bytes must be positive")
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be non-negative")
         if attempt_timeout is not None and attempt_timeout <= 0:
             raise ValueError("attempt_timeout must be positive")
         self.client = client
         self.grid = client.grid
         self.marker_interval_bytes = float(marker_interval_bytes)
         self.max_attempts = int(max_attempts)
-        self.backoff = backoff or BackoffPolicy.constant(retry_backoff)
+        self.backoff = backoff or BackoffPolicy.constant(5.0)
         self.attempt_timeout = (
             None if attempt_timeout is None else float(attempt_timeout)
         )
@@ -306,11 +302,6 @@ class ReliableFileTransfer:
             f"<ReliableFileTransfer markers every "
             f"{self.marker_interval_bytes / MiB:.0f}MiB>"
         )
-
-    @property
-    def retry_backoff(self):
-        """Base retry delay of the active backoff policy, seconds."""
-        return self.backoff.base
 
     def get(self, server_name, remote_name, local_name=None,
             parallelism=None, manifest=None, health=None):

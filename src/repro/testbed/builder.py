@@ -1,20 +1,12 @@
 """Builds the full simulated testbed with all services attached.
 
-Two construction paths share this module:
-
-* the legacy path (``sites=``): the paper's flat layout — every site
-  switch on one backbone router, all-pairs NWS mesh, single GIIS;
-* the topology path (``topology=``): any
-  :class:`~repro.testbed.topology.TopologySpec` — per-region gateway
-  routers joined by asymmetric WAN links, with either the same flat
-  ``"full"`` monitoring or the hierarchical ``"regional"`` layout
-  (per-region GIIS/NWS federated at the selection host, see
-  :mod:`repro.monitoring.federation`).
-
-``build_testbed(topology=preset("paper3"))`` reproduces the legacy
-``build_testbed()`` byte for byte — same construction order, same
-stream names, same trace digest (the differential battery in
-``tests/testbed/test_topology_differential.py`` proves it).
+Every testbed is built from a :class:`~repro.testbed.topology.TopologySpec`
+(``preset("paper3")``, the paper's three sites on the TANet router, by
+default): per-region gateway routers joined by asymmetric WAN links,
+with either the paper's flat ``"full"`` monitoring (all-pairs NWS mesh,
+single GIIS) or the hierarchical ``"regional"`` layout (per-region
+GIIS/NWS federated at the selection host, see
+:mod:`repro.monitoring.federation`).
 """
 
 from repro.core.server import ReplicaSelectionServer
@@ -36,17 +28,18 @@ from repro.replica.catalog import ReplicaCatalog
 
 __all__ = ["Testbed", "build_testbed"]
 
-#: The backbone router joining the three sites (TANet).
-BACKBONE = "tanet"
-
 
 class Testbed:
     """The assembled testbed: grid plus every attached service."""
 
-    def __init__(self, grid, sites, nameserver, nws_memory, giis,
+    def __init__(self, grid, spec, roles, nameserver, nws_memory, giis,
                  information, catalog, selection_server):
         self.grid = grid
-        self.sites = {site.name: site for site in sites}
+        #: The TopologySpec this testbed was built from.
+        self.spec = spec
+        #: Canonical (client_host, replica_hosts) roles.
+        self.roles = roles
+        self.sites = {site.name: site for site in spec.sites()}
         self.nameserver = nameserver
         self.nws_memory = nws_memory
         self.giis = giis
@@ -56,11 +49,6 @@ class Testbed:
         self.sensors = []
         self.load_generators = []
         self.cross_traffic = []
-        #: The TopologySpec this testbed was built from (None on the
-        #: legacy ``sites=`` path).
-        self.spec = None
-        #: Canonical (client_host, replica_hosts) roles, when known.
-        self.roles = None
         #: Per-region NwsMemory / GIIS under "regional" monitoring.
         self.region_memories = {}
         self.region_giises = {}
@@ -105,25 +93,16 @@ class Testbed:
 def _derived_warmup(max_wan_rtt, sensor_period):
     """Warm-up long enough for forecasts to settle on any topology.
 
-    Three floors: the legacy 120 s (the paper's testbed), eight sensor
-    periods (forecast batteries need a handful of samples), and 1500
-    worst-case round trips (what 120 s gives the legacy testbed's worst
-    pair, preserved as a per-RTT budget for long-haul presets).
+    Three floors: 120 s (the paper's testbed), eight sensor periods
+    (forecast batteries need a handful of samples), and 1500 worst-case
+    round trips (what 120 s gives the paper's testbed's worst pair,
+    preserved as a per-RTT budget for long-haul presets).
     """
     return max(120.0, 8.0 * sensor_period, 1500.0 * max_wan_rtt)
 
 
-def _legacy_max_rtt(sites):
-    """Worst host-to-host RTT of the flat layout: both worst uplinks."""
-    worst = max(site.wan_latency for site in sites)
-    if len(sites) > 1 or len(sites[0].host_names) > 1:
-        return 2.0 * (worst + worst)
-    return 2.0 * worst
-
-
 def _build_site(grid, site, uplink_router):
-    """One site: switch, uplink, hosts with LAN links (shared by both
-    construction paths — order matters for digest equality)."""
+    """One site: switch, uplink, hosts with LAN links."""
     grid.add_router(site.switch_name, site=site.name)
     grid.connect(
         site.switch_name, uplink_router, site.wan_capacity,
@@ -144,7 +123,7 @@ def _build_site(grid, site, uplink_router):
         )
 
 
-def _attach_full_monitoring(grid, sites, nameserver, nws_memory, giis,
+def _attach_full_monitoring(grid, nameserver, nws_memory, giis,
                             sensor_period):
     """The paper's flat deployment: CPU sensors everywhere, bandwidth
     sensors between every ordered host pair."""
@@ -302,18 +281,15 @@ def _attach_dynamics(testbed, grid, sites, uplinks, backbone_links):
         )
 
 
-def build_testbed(sites=None, seed=0, monitoring=True,
+def build_testbed(seed=0, monitoring=True,
                   sensor_period=10.0, dynamic=False,
                   catalog_host=None, selection_host=None,
                   weights=None, observe=None,
                   topology=None, monitoring_mode=None):
-    """Construct the paper's testbed, or any topology preset.
+    """Construct the paper's testbed, or any topology.
 
     Parameters
     ----------
-    sites:
-        Iterable of :class:`SiteSpec`; defaults to the paper's three.
-        Mutually exclusive with ``topology``.
     seed:
         Root seed for all randomness.
     monitoring:
@@ -326,8 +302,8 @@ def build_testbed(sites=None, seed=0, monitoring=True,
         dynamic network situations" of the paper's abstract.
     catalog_host / selection_host:
         Where the catalog and selection/information servers run;
-        default: the first host of the first site (the paper runs them
-        at THU), or the topology's client role on the topology path.
+        default: the topology's client role (``alpha1`` at THU on the
+        paper's testbed).
     weights:
         Cost-model weights; default the paper's 80/10/10.
     observe:
@@ -337,61 +313,47 @@ def build_testbed(sites=None, seed=0, monitoring=True,
         context is open.
     topology:
         A :class:`~repro.testbed.topology.TopologySpec` or preset name
-        (``"paper3"``, ``"scaled-100"``, ...) to build instead of the
-        flat ``sites=`` layout.
+        (``"paper3"``, ``"scaled-100"``, ...); default ``"paper3"``.
+        :func:`~repro.testbed.topology.flat` turns any site list into
+        a spec.
     monitoring_mode:
         ``"full"`` or ``"regional"``; default: the spec's own
-        ``monitoring`` attribute (topology path) or ``"full"``.
+        ``monitoring`` attribute.
     """
-    from repro.testbed.sites import PAPER_SITES
+    from repro.testbed.topology import preset
 
-    if topology is not None:
-        if sites is not None:
-            raise ValueError("pass either sites= or topology=, not both")
-        if isinstance(topology, str):
-            from repro.testbed.topology import preset
-
-            topology = preset(topology)
-        topology.validate()
-    mode = monitoring_mode or (
-        topology.monitoring if topology is not None else "full"
-    )
+    if topology is None:
+        topology = "paper3"
+    if isinstance(topology, str):
+        topology = preset(topology)
+    topology.validate()
+    mode = monitoring_mode or topology.monitoring
     if mode not in ("full", "regional"):
         raise ValueError(f"unknown monitoring mode {mode!r}")
 
     grid = DataGrid(seed=seed, observe=observe)
 
     # -- topology ---------------------------------------------------------
-    if topology is None:
-        sites = list(sites) if sites is not None else list(PAPER_SITES)
-        if not sites:
-            raise ValueError("need at least one site")
-        grid.add_router(BACKBONE)
-        uplinks = {site.name: BACKBONE for site in sites}
-        backbone_links = []
-        for site in sites:
-            _build_site(grid, site, BACKBONE)
-    else:
-        sites = topology.sites()
-        uplinks = {}
-        backbone_links = []
-        for region in topology.regions:
-            grid.add_router(region.router_name)
-        for link in topology.links:
-            grid.topology.add_link(
-                link.src, link.dst, link.capacity,
-                latency=link.latency, loss_rate=link.loss_rate,
-            )
-            grid.topology.add_link(
-                link.dst, link.src, link.reverse_capacity,
-                latency=link.latency, loss_rate=link.reverse_loss_rate,
-            )
-            backbone_links.append((link.src, link.dst))
-            backbone_links.append((link.dst, link.src))
-        for region in topology.regions:
-            for site in region.sites:
-                uplinks[site.name] = region.router_name
-                _build_site(grid, site, region.router_name)
+    sites = topology.sites()
+    uplinks = {}
+    backbone_links = []
+    for region in topology.regions:
+        grid.add_router(region.router_name)
+    for link in topology.links:
+        grid.topology.add_link(
+            link.src, link.dst, link.capacity,
+            latency=link.latency, loss_rate=link.loss_rate,
+        )
+        grid.topology.add_link(
+            link.dst, link.src, link.reverse_capacity,
+            latency=link.latency, loss_rate=link.reverse_loss_rate,
+        )
+        backbone_links.append((link.src, link.dst))
+        backbone_links.append((link.dst, link.src))
+    for region in topology.regions:
+        for site in region.sites:
+            uplinks[site.name] = region.router_name
+            _build_site(grid, site, region.router_name)
 
     # -- data services on every host ----------------------------------------
     for site in sites:
@@ -399,14 +361,9 @@ def build_testbed(sites=None, seed=0, monitoring=True,
             FtpServer(grid, host_name)
             GridFtpServer(grid, host_name)
 
-    if topology is not None:
-        roles = topology.default_roles()
-        default_host = roles[0]
-    else:
-        roles = None
-        default_host = sites[0].host_names[0]
-    catalog_host = catalog_host or default_host
-    selection_host = selection_host or default_host
+    roles = topology.default_roles()
+    catalog_host = catalog_host or roles[0]
+    selection_host = selection_host or roles[0]
 
     # -- monitoring -------------------------------------------------------------
     nameserver = NameServer()
@@ -424,7 +381,7 @@ def build_testbed(sites=None, seed=0, monitoring=True,
         giis = GIIS(grid, selection_host, ttl=min(30.0, sensor_period))
         if monitoring:
             testbed_sensors = _attach_full_monitoring(
-                grid, sites, nameserver, nws_memory, giis, sensor_period,
+                grid, nameserver, nws_memory, giis, sensor_period,
             )
         else:
             for host in grid.hosts.values():
@@ -439,19 +396,14 @@ def build_testbed(sites=None, seed=0, monitoring=True,
     )
 
     testbed = Testbed(
-        grid, sites, nameserver, nws_memory, giis, information,
+        grid, topology, roles, nameserver, nws_memory, giis, information,
         catalog, selection_server,
     )
     testbed.sensors = testbed_sensors
-    testbed.spec = topology
-    testbed.roles = roles
     testbed.region_memories = region_memories
     testbed.region_giises = region_giises
     testbed.sensor_period = sensor_period
-    testbed.max_wan_rtt = (
-        topology.max_wan_rtt() if topology is not None
-        else _legacy_max_rtt(sites)
-    )
+    testbed.max_wan_rtt = topology.max_wan_rtt()
     testbed.recommended_warmup = _derived_warmup(
         testbed.max_wan_rtt, sensor_period
     )

@@ -1,14 +1,19 @@
 """Named scenario presets.
 
-Four fixed scenarios plus the parametric ``scaled(n_sites)`` family:
+Four fixed scenarios, the parametric ``scaled(n_sites)`` family, and
+``flat(sites, name)`` for hand-picked site lists:
+
+``flat(sites, name, roles=None)``
+    The paper's layout for any site list: every site switch on the one
+    backbone router :data:`FLAT_ROUTER`, the all-pairs NWS mesh and a
+    single GIIS (``monitoring="full"`` at any size).
 
 ``paper3``
     The paper's own testbed — THU / Li-Zen / HIT behind the single
-    TANet router — expressed as a one-region spec.  Its sites ARE
-    ``PAPER_SITES`` (same objects), its router is named ``tanet`` and
-    its roles are pinned to the canonical experiment trio, so building
-    it reproduces the legacy hand-built testbed byte for byte (the
-    differential battery proves the Table-1 trace digest matches).
+    TANet router — as ``flat(PAPER_SITES, "paper3")``.  Its sites ARE
+    ``PAPER_SITES`` (same objects) and its roles are pinned to the
+    canonical experiment trio.  It is the default of
+    :func:`~repro.testbed.builder.build_testbed`.
 
 ``fat_tree_campus``
     A 28-site campus federation in a fat-tree shape: two core regions,
@@ -35,23 +40,40 @@ from repro.testbed.sites import PAPER_SITES
 from repro.testbed.topology.generator import GeneratorConfig, generate_topology
 from repro.testbed.topology.spec import RegionSpec, TopologySpec, WanLinkSpec
 
-__all__ = ["PRESET_NAMES", "paper3", "preset", "scaled"]
+__all__ = ["FLAT_ROUTER", "PRESET_NAMES", "flat", "paper3", "preset",
+           "scaled"]
+
+#: The backbone router of every flat grid (TANet, in the paper).
+FLAT_ROUTER = "tanet"
+
+
+def flat(sites, name, roles=None):
+    """``sites`` on one backbone router: the paper's flat layout.
+
+    One ``core`` region behind :data:`FLAT_ROUTER`, no WAN links, and
+    ``"full"`` monitoring however many sites there are.  ``roles``
+    pins ``(client_host, replica_hosts)``; by default the client is the
+    first host of the first site.  A one-site grid has no other site to
+    draw replicas from, so it needs pinned roles, e.g.
+    ``roles=(host, ())``.
+    """
+    return TopologySpec(
+        name=name,
+        regions=(
+            RegionSpec(
+                FLAT_ROUTER, "core", sites, router_name=FLAT_ROUTER
+            ),
+        ),
+        monitoring="full",
+        roles=roles,
+    ).validate()
 
 
 def paper3():
-    """The paper's 3-site testbed as a spec (legacy-identical build)."""
-    return TopologySpec(
-        name="paper3",
-        regions=(
-            RegionSpec(
-                "tanet", "core", PAPER_SITES, router_name="tanet"
-            ),
-        ),
-        links=(),
-        monitoring="full",
-        roles=("alpha1", ("alpha4", "hit0", "lz02")),
-        description="THU / Li-Zen / HIT on the TANet backbone (Fig. 2)",
-    ).validate()
+    """THU / Li-Zen / HIT on the TANet backbone (Fig. 2)."""
+    return flat(
+        PAPER_SITES, "paper3", roles=("alpha1", ("alpha4", "hit0", "lz02"))
+    )
 
 
 def fat_tree_campus():

@@ -1,8 +1,8 @@
 """Same-seed digest sweep over the headline exhibits (quick mode).
 
-The full fourteen-experiment sweep runs in CI's sanitize job via
-``python -m repro.analysis.sanitizers``; here we pin the two exhibits
-the acceptance criteria name so a regression fails fast in tier 1.
+The full eighteen-experiment sweep runs in CI's sanitize job via
+``python -m repro.analysis.sanitizers``; here a handful of exhibits are
+checked and pinned so a regression fails fast in tier 1.
 """
 
 import pytest
@@ -30,7 +30,9 @@ def test_quick_experiment_is_deterministic(experiment_id):
 #: exhibits fails here; re-pin only for a deliberate behaviour change.
 #: ``fig_scale`` exercises regional monitoring's shared sensor tick
 #: groups; ``fig_chaos`` is the longest of the three streams;
-#: ``abl_forecast`` carries the NWS forecast-error histograms.
+#: ``abl_forecast`` carries the NWS forecast-error histograms;
+#: ``abl_scale`` and ``abl_staleness`` build flat grids of synthetic
+#: sites through :func:`~repro.testbed.topology.presets.flat`.
 PINNED_DIGESTS = {
     "abl_forecast": (
         "84132ad6efc994975f017f4cf92707706f4f7e4dade4005c2bd2d4f85310a96e",
@@ -47,6 +49,14 @@ PINNED_DIGESTS = {
     "fig_chaos": (
         "3a724c3d829f5b36254719bf8cb76efe2721645b85687b95aaa1e2049cb6e741",
         807,
+    ),
+    "abl_scale": (
+        "d7a1e1113744f3a9216b2190e736e667d8c5e3eb39bd42a8414ea5a46dae68f6",
+        172,
+    ),
+    "abl_staleness": (
+        "804e21d85430e9ad0619514a6a731ac55468530839076a8bbd79800f121852af",
+        114,
     ),
 }
 

@@ -8,11 +8,14 @@ from repro.chaos import Campaign, ChaosEngine, EventSpec, Schedule
 from repro.core.cost_model import CostModel
 from repro.core.degradation import DegradationPolicy, LastKnownGood
 from repro.experiments.harness import register_replicas
-from repro.experiments.table1 import LOAD_PROFILE, REPLICA_HOSTS
+from repro.experiments.table1 import LOAD_PROFILE
 from repro.monitoring.information import SiteFactors
 from repro.testbed import build_testbed
+from repro.testbed.topology import preset
 
 from tests.conftest import run_process
+
+_, REPLICA_HOSTS = preset("paper3").default_roles()
 
 
 class TestDegradationPolicy:

@@ -29,7 +29,7 @@ def reliable_setup(file_mb=64, marker_mb=16, mtbf=None, max_attempts=10,
         injector = TransferFaultInjector(grid, mtbf)
     rft = ReliableFileTransfer(
         client, marker_interval_bytes=marker_mb * MiB,
-        max_attempts=max_attempts, retry_backoff=1.0,
+        max_attempts=max_attempts, backoff=BackoffPolicy.constant(1.0),
         fault_injector=injector,
     )
     return grid, rft, injector
@@ -158,8 +158,10 @@ class TestReliableTransfer:
             ReliableFileTransfer(client, marker_interval_bytes=0)
         with pytest.raises(ValueError):
             ReliableFileTransfer(client, max_attempts=0)
-        with pytest.raises(ValueError):
-            ReliableFileTransfer(client, retry_backoff=-1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            ReliableFileTransfer(
+                client, backoff=BackoffPolicy.constant(-1.0)
+            )
         with pytest.raises(ValueError):
             ReliableFileTransfer(client, attempt_timeout=0.0)
 
@@ -173,7 +175,7 @@ class TestBackoffAndTimeout:
         grid.host("src").filesystem.create("file-a", megabytes(64))
         constant = ReliableFileTransfer(
             GridFtpClient(grid, "dst"), marker_interval_bytes=8 * MiB,
-            max_attempts=100, retry_backoff=1.0,
+            max_attempts=100, backoff=BackoffPolicy.constant(1.0),
             fault_injector=TransferFaultInjector(grid, 3.0),
         )
         first = run_process(grid, constant.get("src", "file-a", "one"))
@@ -189,11 +191,6 @@ class TestBackoffAndTimeout:
         assert first.faults > 1 and second.faults > 1
         # Same fault process, but geometric delays stretch the retries.
         assert second.elapsed > first.elapsed
-
-    def test_legacy_retry_backoff_maps_to_constant_policy(self):
-        grid, rft, _ = reliable_setup()
-        assert rft.retry_backoff == 1.0
-        assert rft.backoff.schedule(3) == [1.0, 1.0, 1.0]
 
     def test_attempt_timeout_rescues_stalled_transfer(self):
         grid = build_two_host_grid(
@@ -218,7 +215,8 @@ class TestBackoffAndTimeout:
         grid.sim.process(saboteur())
         rft = ReliableFileTransfer(
             GridFtpClient(grid, "dst"), marker_interval_bytes=4 * MiB,
-            max_attempts=20, retry_backoff=1.0, attempt_timeout=3.0,
+            max_attempts=20, backoff=BackoffPolicy.constant(1.0),
+            attempt_timeout=3.0,
         )
         result = run_process(grid, rft.get("src", "file-a"))
         assert result.timeouts >= 1

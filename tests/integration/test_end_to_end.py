@@ -1,6 +1,7 @@
 """Integration tests: whole-system scenarios across all subsystems."""
 
 from repro.gridftp import (
+    BackoffPolicy,
     GridFtpClient,
     ReliableFileTransfer,
     TransferFaultInjector,
@@ -8,7 +9,7 @@ from repro.gridftp import (
 from repro.hosts import CPULoadGenerator, DiskLoadGenerator
 from repro.network import CrossTrafficProcess
 from repro.testbed import build_testbed
-from repro.testbed.builder import BACKBONE
+from repro.testbed.topology import FLAT_ROUTER
 from repro.units import MiB, megabytes
 
 from tests.conftest import run_process
@@ -114,7 +115,7 @@ def test_reliable_transfer_on_real_testbed_under_faults():
     injector = TransferFaultInjector(grid, mean_time_between_faults=2.0)
     rft = ReliableFileTransfer(
         client, marker_interval_bytes=8 * MiB, max_attempts=200,
-        retry_backoff=2.0, fault_injector=injector,
+        backoff=BackoffPolicy.constant(2.0), fault_injector=injector,
     )
     result = run_process(grid, rft.get("hit0", "big", parallelism=4))
     assert grid.host("alpha1").filesystem.size_of("big") == megabytes(128)
@@ -139,7 +140,8 @@ def _start_bursty_load(testbed):
         )
     for site in testbed.sites.values():
         for direction in [
-            (site.switch_name, BACKBONE), (BACKBONE, site.switch_name)
+            (site.switch_name, FLAT_ROUTER),
+            (FLAT_ROUTER, site.switch_name),
         ]:
             CrossTrafficProcess(
                 grid.sim, grid.network, grid.topology.link(*direction),

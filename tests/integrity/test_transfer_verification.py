@@ -7,6 +7,7 @@ import pytest
 from repro.chaos import Campaign, ChaosEngine, EventSpec, Schedule
 from repro.core.server import NoLiveReplicaError
 from repro.gridftp import (
+    BackoffPolicy,
     CorruptBlockError,
     GridFtpClient,
     GridFtpServer,
@@ -31,7 +32,7 @@ def fixed_setup(file_mb=64, seed=0):
     client = GridFtpClient(grid, "dst")
     rft = ReliableFileTransfer(
         client, marker_interval_bytes=2 * BLOCK, max_attempts=6,
-        retry_backoff=1.0,
+        backoff=BackoffPolicy.constant(1.0),
     )
     return grid, rft, stored, manifest
 
@@ -124,7 +125,7 @@ class TestReplicaFailover:
         rft = ReliableFileTransfer(
             GridFtpClient(grid, "alpha1"),
             marker_interval_bytes=2 * BLOCK, max_attempts=8,
-            retry_backoff=1.0,
+            backoff=BackoffPolicy.constant(1.0),
         )
         result = run_process(
             grid,
@@ -145,7 +146,8 @@ class TestReplicaFailover:
         stored.corrupt_range(0.0, stored.size_bytes)
         rft = ReliableFileTransfer(
             GridFtpClient(grid, "alpha1"),
-            marker_interval_bytes=2 * BLOCK, retry_backoff=1.0,
+            marker_interval_bytes=2 * BLOCK,
+            backoff=BackoffPolicy.constant(1.0),
         )
         result = run_process(
             grid,
@@ -170,7 +172,7 @@ class TestReplicaFailover:
         rft = ReliableFileTransfer(
             GridFtpClient(grid, "alpha1"),
             marker_interval_bytes=BLOCK, max_attempts=12,
-            retry_backoff=1.0, attempt_timeout=10.0,
+            backoff=BackoffPolicy.constant(1.0), attempt_timeout=10.0,
         )
         result = run_process(
             grid,
@@ -215,7 +217,8 @@ class TestRetryAfterHint:
         start = grid.sim.now
         rft = ReliableFileTransfer(
             GridFtpClient(grid, "alpha1"),
-            marker_interval_bytes=2 * BLOCK, retry_backoff=1.0,
+            marker_interval_bytes=2 * BLOCK,
+            backoff=BackoffPolicy.constant(1.0),
         )
         result = run_process(
             grid,

@@ -1,15 +1,17 @@
-"""Differential battery: the generator provably subsumes the legacy path.
+"""The paper's testbed as a spec: ``paper3`` and the ``flat`` layout.
 
-``preset("paper3")`` must reproduce the hand-built ``PAPER_SITES``
-testbed exactly — same site specs, same construction, and the same
-Table-1 trace digest, so running any experiment "on a topology" is
-never a behavioural fork from the paper's testbed.
+Every testbed is built from a :class:`TopologySpec`; the default one is
+``preset("paper3")``.  These tests hold that spec to the paper (its
+sites, roles, router and monitoring) and the default build to the
+paper's Fig. 2 structure.  The seed-0 trace digests pinned in
+``tests/analysis/test_determinism_sweep.py`` hold its behaviour.
 """
 
-from repro.analysis.sanitizers.determinism import run_traced, trace_digest
-from repro.experiments.table1 import run_table1
+import pytest
+
+from repro.experiments.ablation_scale import synthetic_sites
 from repro.testbed import PAPER_SITES, build_testbed
-from repro.testbed.topology import preset
+from repro.testbed.topology import FLAT_ROUTER, TopologySpec, flat, preset
 
 
 def test_paper3_sites_are_the_paper_sites():
@@ -33,35 +35,33 @@ def test_paper3_monitoring_is_full():
     assert spec.links == ()
 
 
-def test_paper3_build_matches_legacy_structure():
-    legacy = build_testbed(seed=5)
-    spec_built = build_testbed(seed=5, topology="paper3")
-    assert legacy.host_names() == spec_built.host_names()
-    assert len(legacy.sensors) == len(spec_built.sensors)
-    assert sorted(legacy.sites) == sorted(spec_built.sites)
-    assert legacy.recommended_warmup == spec_built.recommended_warmup
-    assert spec_built.recommended_warmup == 120.0
+def test_default_build_is_the_paper_testbed():
+    testbed = build_testbed(seed=5)
+    hosts = [host for site in PAPER_SITES for host in site.host_names]
+    assert testbed.spec.digest() == preset("paper3").digest()
+    assert testbed.roles == preset("paper3").default_roles()
+    assert sorted(testbed.host_names()) == sorted(hosts)
+    assert sorted(testbed.sites) == sorted(site.name for site in PAPER_SITES)
+    # One CPU sensor per host plus the all-pairs bandwidth mesh.
+    assert len(testbed.sensors) == len(hosts) ** 2
+    assert testbed.recommended_warmup == 120.0
 
 
-def test_paper3_reproduces_legacy_table1_trace_digest():
-    """The acceptance criterion: identical Table-1 trace digest."""
-
-    def legacy():
-        return run_table1(file_size_mb=16, seed=0, warmup=60.0)
-
-    def via_topology():
-        return run_table1(
-            file_size_mb=16, seed=0, warmup=60.0, topology="paper3"
-        )
-
-    _, legacy_records = run_traced(legacy)
-    _, spec_records = run_traced(via_topology)
-    assert legacy_records, "legacy run produced no trace"
-    assert trace_digest(legacy_records) == trace_digest(spec_records)
+@pytest.mark.parametrize("n_sites", [12, 13])
+def test_flat_is_one_fully_monitored_region(n_sites):
+    spec = flat(synthetic_sites(n_sites), "synthetic")
+    assert len(spec.regions) == 1
+    assert spec.regions[0].router_name == FLAT_ROUTER == "tanet"
+    assert spec.links == ()
+    assert spec.monitoring == "full"
+    # A spec left to its own default goes regional above 12 sites.
+    own = TopologySpec("own", spec.regions)
+    assert own.monitoring == ("full" if n_sites <= 12 else "regional")
 
 
-def test_sites_and_topology_are_mutually_exclusive():
-    import pytest
-
-    with pytest.raises(ValueError, match="not both"):
-        build_testbed(sites=PAPER_SITES, topology="paper3")
+def test_flat_client_defaults_to_the_first_host():
+    sites = synthetic_sites(3)
+    testbed = build_testbed(topology=flat(sites, "synthetic"), seed=0)
+    client, _ = testbed.roles
+    assert client == sites[0].host_names[0]
+    assert testbed.selection_server.host_name == client

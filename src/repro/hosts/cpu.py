@@ -26,6 +26,10 @@ _REFERENCE_GHZ = 2.0
 class CPU:
     """A host CPU with ``cores`` cores at ``frequency_ghz``.
 
+    The core count, clock and per-byte cost are fixed at construction;
+    only :meth:`set_background_busy` moves the transfer capacity, and it
+    reports the change through the CPU's channel.
+
     ``min_transfer_cores`` guarantees transfers a slice of CPU even on a
     saturated machine (the OS scheduler never starves them completely),
     so a loaded replica site slows fetches instead of deadlocking them.
@@ -73,6 +77,7 @@ class CPU:
         if cores_busy < 0:
             raise ValueError("cores_busy must be non-negative")
         self._background_busy = min(float(cores_busy), float(self.cores))
+        self.channel.report()
 
     # -- observables ---------------------------------------------------------
 

@@ -16,7 +16,12 @@ __all__ = ["Disk"]
 
 
 class Disk:
-    """A disk with ``bandwidth`` bytes/s and ``capacity_bytes`` of space."""
+    """A disk with ``bandwidth`` bytes/s and ``capacity_bytes`` of space.
+
+    Assigning :attr:`bandwidth` and :meth:`set_background_utilisation`
+    move the transfer capacity, and both report the change through the
+    disk's channel.
+    """
 
     def __init__(self, sim, name, bandwidth, capacity_bytes,
                  min_transfer_fraction=0.05):
@@ -28,7 +33,7 @@ class Disk:
             raise ValueError("min_transfer_fraction must be in (0, 1]")
         self.sim = sim
         self.name = name
-        self.bandwidth = float(bandwidth)
+        self._bandwidth = float(bandwidth)
         self.capacity_bytes = float(capacity_bytes)
         self.min_transfer_fraction = float(min_transfer_fraction)
         self._background_util = 0.0
@@ -45,6 +50,18 @@ class Disk:
     # -- load inputs --------------------------------------------------------
 
     @property
+    def bandwidth(self):
+        """Maximum sustained bandwidth, bytes/s."""
+        return self._bandwidth
+
+    @bandwidth.setter
+    def bandwidth(self, value):
+        if value <= 0:
+            raise ValueError("bandwidth must be positive")
+        self._bandwidth = float(value)
+        self.channel.report()
+
+    @property
     def background_utilisation(self):
         return self._background_util
 
@@ -55,13 +72,14 @@ class Disk:
                 f"background utilisation must be in [0, 1): {fraction}"
             )
         self._background_util = float(fraction)
+        self.channel.report()
 
     # -- observables ---------------------------------------------------------
 
     @property
     def transfer_utilisation(self):
         """Fraction of disk bandwidth consumed by transfers right now."""
-        return min(1.0, self.channel.allocated / self.bandwidth)
+        return min(1.0, self.channel.allocated / self._bandwidth)
 
     @property
     def utilisation(self):
@@ -85,4 +103,4 @@ class Disk:
         free = max(
             self.min_transfer_fraction, 1.0 - self._background_util
         )
-        return free * self.bandwidth
+        return free * self._bandwidth

@@ -1,10 +1,12 @@
 """Resource channels: Link-like capacity constraints outside the topology.
 
 The flow network treats anything with ``key``, ``available_capacity``,
-``allocated`` and ``bytes_carried`` as a link.  A
-:class:`ResourceChannel` implements that interface with a *dynamic*
-capacity delegated to its owner (a CPU or disk model), so host-local
-contention participates in the same max-min allocation as network links.
+``networks``, ``allocated`` and ``bytes_carried`` as a link, and
+expects it to report every change of ``available_capacity`` to each
+network in ``networks``.  A :class:`ResourceChannel` implements that
+interface with a *dynamic* capacity delegated to its owner (a CPU or
+disk model), so host-local contention participates in the same max-min
+allocation as network links.
 """
 
 __all__ = ["ResourceChannel"]
@@ -14,8 +16,10 @@ class ResourceChannel:
     """A dynamic-capacity constraint owned by a host resource.
 
     ``capacity_fn`` returns the bytes/s currently available to transfers
-    through this channel; it is consulted on every flow-network
-    rebalance.
+    through this channel.  A flow network reads it when the channel
+    becomes live there and again after each :meth:`report`, so the
+    owner must call :meth:`report` whenever something ``capacity_fn``
+    reads changes.
     """
 
     def __init__(self, name, capacity_fn):
@@ -23,6 +27,8 @@ class ResourceChannel:
         self._capacity_fn = capacity_fn
         #: Unique hashable identity (channels are never shared by name).
         self.key = ("resource", name)
+        #: The flow networks on which the channel is live.
+        self.networks = ()
         self.allocated = 0.0
         self.bytes_carried = 0.0
 
@@ -42,3 +48,9 @@ class ResourceChannel:
                 f"capacity {capacity}"
             )
         return capacity
+
+    def report(self):
+        """Tell every network the channel is live on that its capacity
+        may have moved."""
+        for network in self.networks:
+            network.capacity_changed(self)

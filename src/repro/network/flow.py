@@ -7,6 +7,17 @@ far, asks the :class:`~repro.network.solver.IncrementalMaxMinSolver`
 (which mirrors the live flow set) for new rates, and reschedules the
 earliest completion.
 
+Capacity changes are reported, not polled.  A link that is live here
+(some live flow crosses it) lists this network in its ``networks``
+tuple, and every change to its available capacity (a
+:class:`~repro.network.link.Link`'s background utilisation or up/down
+state, a :class:`~repro.hosts.reslink.ResourceChannel` owner's load or
+bandwidth) calls :meth:`FlowNetwork.capacity_changed`.  A reallocation
+hands the solver only the capacities of links that reported since the
+last one or just became live; every other live link has exactly the
+capacity the solver already stored.  A link live on two networks (a
+test reference built over the same topology) reports to both.
+
 The solver re-solves only the connected components the change touched
 and returns only their rates, so the network writes ``flow.rate`` and
 ``link.allocated`` for those flows and links alone; every other flow's
@@ -120,9 +131,12 @@ class FlowNetwork:
         #: (see :mod:`repro.network.solver`).
         self._solver = IncrementalMaxMinSolver()
         #: key -> [link, refcount] over live flows' links: the live
-        #: link set, so rebalances and probes read fresh capacities
-        #: by key.
+        #: link set.  The solver is keyed by the link objects
+        #: themselves.
         self._links_by_key = {}
+        #: Live links whose capacity the solver has not read since they
+        #: became live or reported a change, in report order.
+        self._changed = {}
         #: Completed-flow log (diagnostics and tests).
         self.completed = []
 
@@ -154,9 +168,7 @@ class FlowNetwork:
             return flow
         self._settle()
         self._flows[flow.id] = flow
-        self._solver.add_flow(
-            flow.id, [link.key for link in flow.links], flow.cap
-        )
+        self._solver.add_flow(flow.id, flow.links, flow.cap)
         self._register_links(flow)
         self._reallocate()
         return flow
@@ -176,7 +188,14 @@ class FlowNetwork:
         self._reallocate()
 
     def rebalance(self):
-        """Recompute rates after an external change (load, capacity)."""
+        """Settle and re-solve now, after an external change.
+
+        Links report their own capacity changes
+        (:meth:`capacity_changed`), and the next reallocation reads
+        them whatever triggers it; a rebalance makes that happen at the
+        time of the change instead of at the next flow start, abort or
+        completion.
+        """
         if not self._flows:
             # Nothing to settle, solve or wake: only the settle point
             # moves on.
@@ -202,9 +221,18 @@ class FlowNetwork:
         if not links:
             return cap
         return self._solver.probe_rate(
-            [(link.key, link.available_capacity) for link in links],
-            cap, self._capacity_of,
+            [(link, link.available_capacity) for link in links],
+            cap, _capacity_of,
         )
+
+    def capacity_changed(self, link):
+        """Note that live ``link``'s available capacity may have moved.
+
+        Links call this on every network in their ``networks`` tuple;
+        the next reallocation hands the solver the link's fresh
+        capacity.
+        """
+        self._changed[link] = None
 
     # -- internals ----------------------------------------------------------
 
@@ -213,6 +241,10 @@ class FlowNetwork:
             entry = self._links_by_key.get(link.key)
             if entry is None:
                 self._links_by_key[link.key] = [link, 1]
+                # Newly live: read at the next reallocation, and heard
+                # from on every change.
+                link.networks += (self,)
+                self._changed[link] = None
             else:
                 # The registry is the live link set: one key must name
                 # one link object (directed links and resource channels
@@ -226,10 +258,11 @@ class FlowNetwork:
             entry[1] -= 1
             if not entry[1]:
                 del self._links_by_key[link.key]
-
-    def _capacity_of(self, key):
-        """Fresh available capacity of a live flow's link, by key."""
-        return self._links_by_key[key][0].available_capacity
+                link.networks = tuple(
+                    network for network in link.networks
+                    if network is not self
+                )
+                self._changed.pop(link, None)
 
     def _settle(self):
         """Credit bytes moved since the last settle point."""
@@ -266,33 +299,41 @@ class FlowNetwork:
             for link in flow.links:
                 link.allocated = 0.0
 
+        # Only the links that reported or just became live are read.
         # Only re-solved components' rates can have moved; every other
         # flow keeps its rate and every other link its allocation.  A
         # link's allocation is its flows' rates summed in flow insertion
         # order, as a full recomputation would sum them.
+        changed = self._changed
+        self._changed = {}
         solver = self._solver
-        rates = solver.rates({
-            key: entry[0].available_capacity
-            for key, entry in self._links_by_key.items()
-        })
+        rates = solver.rates(
+            {link: link.available_capacity for link in changed}
+        )
         flows = self._flows
         for fid, rate in rates.items():
             flows[fid].rate = rate
-        links = self._links_by_key
-        for key, load in solver.link_loads(rates):
-            links[key][0].allocated = load
+        for links, load in solver.class_loads(rates):
+            for link in links:
+                link.allocated = load
 
         self._schedule_wakeup()
 
     def _schedule_wakeup(self):
         self._wakeup_version += 1
         version = self._wakeup_version
-        eta = min(
-            (flow.eta() for flow in self._flows.values()), default=math.inf
-        )
-        if math.isinf(eta):
+        # The earliest ``Flow.eta()``, inline.
+        now = self.sim.now
+        eta = math.inf
+        for flow in self._flows.values():
+            rate = flow.rate
+            if rate > 0.0:
+                done = now + flow.remaining / rate
+                if done < eta:
+                    eta = done
+        if eta == math.inf:
             return
-        delay = max(0.0, eta - self.sim.now)
+        delay = max(0.0, eta - now)
         event = self.sim.event()
         event.callbacks.append(lambda _ev: self._on_wakeup(version))
         event._ok = True
@@ -304,6 +345,12 @@ class FlowNetwork:
             return  # stale: a rebalance superseded this wakeup
         self._settle()
         self._reallocate()
+
+
+def _capacity_of(link):
+    """Fresh available capacity of a live link (the solver's keys are
+    the links themselves)."""
+    return link.available_capacity
 
 
 class FlowAborted(Exception):

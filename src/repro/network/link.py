@@ -9,6 +9,12 @@ Besides its static capacity, latency and loss rate, a link has a dynamic
 cross-traffic that is not simulated flow-by-flow (campus traffic on the
 2005 Taiwanese academic network, in the paper's terms).  The capacity
 available to simulated flows is ``capacity * (1 - background_utilisation)``.
+
+Every change to the available capacity (the background setter,
+:meth:`Link.set_down`, :meth:`Link.set_up`) is reported to each
+:class:`~repro.network.flow.FlowNetwork` on which the link is live, so
+a reallocation reads only the links that moved.  The raw ``capacity``
+is fixed at construction.
 """
 
 __all__ = ["Link"]
@@ -50,6 +56,10 @@ class Link:
         #: — the allocator and sensors read it far more often than chaos
         #: writes it.
         self.available_capacity = self.capacity
+        #: The flow networks on which the link is live; each hears of
+        #: every change to ``available_capacity`` (they add and remove
+        #: themselves).
+        self.networks = ()
         #: bytes/s currently allocated to simulated flows (set by the
         #: flow network on every rebalance; diagnostic only).
         self.allocated = 0.0
@@ -73,6 +83,7 @@ class Link:
             raise ValueError(f"background utilisation must be in [0,1): {value}")
         self._background = float(value)
         self._refresh_available()
+        self._report()
 
     @property
     def is_up(self):
@@ -83,17 +94,23 @@ class Link:
         """Fail the link: flows over it stall until :meth:`set_up`."""
         self._up = False
         self.available_capacity = 0.0
+        self._report()
 
     def set_up(self):
         """Restore a failed link."""
         self._up = True
         self._refresh_available()
+        self._report()
 
     def _refresh_available(self):
         if self._up:
             self.available_capacity = self.capacity * (1.0 - self._background)
         else:
             self.available_capacity = 0.0
+
+    def _report(self):
+        for network in self.networks:
+            network.capacity_changed(self)
 
     @property
     def utilisation(self):

@@ -31,9 +31,12 @@ calls instead of deriving it again on each one:
   once.
 * **Dirty components.**  A component is re-solved when its membership
   changed or when one of its link capacities differs (``!=``) from the
-  one its last solve used; :meth:`~IncrementalMaxMinSolver.rates` reads
-  each live link's capacity once to find out.  NaN never equals itself,
-  so a NaN capacity always counts as a change and always raises.
+  one its last solve used.  :meth:`~IncrementalMaxMinSolver.rates` is
+  handed the capacities of the links that may have changed (the flow
+  network passes those that reported a change or just became live) and
+  compares only those; a link left out keeps its stored capacity, and
+  a newly live link must be in the map.  NaN never equals itself, so a
+  NaN capacity always counts as a change and always raises.
 
 Every other component keeps its rates, and those are exactly what a
 fresh solve would give: a component's arithmetic is a pure function of
@@ -64,6 +67,7 @@ _PROBE = "__probe__"
 
 _by_seq = attrgetter("seq")
 _by_cap = attrgetter("cap")
+_key = attrgetter("key")
 
 
 class _FlowState:
@@ -95,7 +99,9 @@ class _LinkState:
     def __init__(self, key):
         self.key = key
         #: Capacity the last solve used.  NaN until first read, so the
-        #: first read always counts as a change.
+        #: first read always counts as a change (and a newly live link
+        #: left out of :meth:`IncrementalMaxMinSolver.rates`' map is
+        #: caught).
         self.capacity = math.nan
         #: The :class:`_LinkClass` this link belongs to.
         self.cls = None
@@ -305,9 +311,11 @@ class IncrementalMaxMinSolver:
 
     The owner (:class:`repro.network.flow.FlowNetwork`) mirrors its live
     flow set into the solver via :meth:`add_flow` / :meth:`remove_flow`,
-    then asks for :meth:`rates` with fresh link capacities whenever the
-    flow set or the environment changed, and for :meth:`link_loads` to
-    write back what the links carry.
+    then asks for :meth:`rates` with the fresh capacities of the links
+    that changed or just became live whenever the flow set or the
+    environment changed, and for :meth:`class_loads` to write back what
+    the links carry.  Link keys are any hashable; the flow network uses
+    the link objects themselves.
     """
 
     def __init__(self):
@@ -320,8 +328,11 @@ class IncrementalMaxMinSolver:
         #: Components to re-solve at the next :meth:`rates`, in order.
         self._dirty = {}
         #: The classes the last :meth:`rates` re-solved, for
-        #: :meth:`link_loads`.
+        #: :meth:`class_loads`.
         self._solved = []
+        #: Link entries created since the last :meth:`rates`, whose
+        #: capacity its map must give.
+        self._fresh = []
         #: Live component count (linkless flows are not components).
         self._components = 0
         #: Insertion sequence numbers, which order flows in a component.
@@ -357,6 +368,7 @@ class IncrementalMaxMinSolver:
             state = link_states.get(key)
             if state is None:
                 state = link_states[key] = _LinkState(key)
+                self._fresh.append(state)
             else:
                 touched[state.cls.component] = None
             states.append(state)
@@ -489,8 +501,9 @@ class IncrementalMaxMinSolver:
     def invalidate(self):
         """Mark every component for re-solving.
 
-        Not needed for correctness — capacity changes are detected on
-        their own — but lets callers pin down behaviour in tests.
+        Not needed for correctness — changed capacities passed to
+        :meth:`rates` are detected on their own — but lets callers pin
+        down behaviour in tests.
         """
         for state in self._links.values():
             self._dirty[state.cls.component] = None
@@ -500,10 +513,14 @@ class IncrementalMaxMinSolver:
     def rates(self, link_capacity):
         """Re-solve what changed; returns the rates that may have moved.
 
-        ``link_capacity`` maps link key -> available capacity and must
-        cover every registered link; it is read once per live link, so
-        capacity changes (chaos, background traffic) are picked up and
-        re-solve exactly the components they touch.
+        ``link_capacity`` maps link key -> available capacity.  It must
+        cover every link that became live since the previous call (a
+        missing one raises :class:`KeyError`) and every live link whose
+        capacity changed; a live link left out keeps the capacity
+        stored at its last read, and a key of no live link is ignored,
+        so a map of every link still works.  Each given capacity that
+        differs from the stored one re-solves exactly the component it
+        touches.
 
         Returns ``flow_id -> rate`` for every flow of each re-solved
         component (each in insertion order) and for every linkless flow
@@ -511,11 +528,20 @@ class IncrementalMaxMinSolver:
         other live flow's rate is unchanged since the previous call.
         """
         dirty = self._dirty
-        for key, state in self._links.items():
-            capacity = link_capacity[key]
-            if capacity != state.capacity:
+        link_states = self._links
+        for key, capacity in link_capacity.items():
+            state = link_states.get(key)
+            if state is not None and capacity != state.capacity:
                 state.capacity = _checked(capacity, key)
                 dirty[state.cls.component] = None
+        if self._fresh:
+            for state in self._fresh:
+                # NaN only if never read, and only a live entry counts
+                # (its flows may have left again since).
+                if (state.capacity != state.capacity
+                        and link_states.get(state.key) is state):
+                    raise KeyError(state.key)
+            self._fresh = []
         for component in [c for c in dirty if c.split]:
             self._split(component)
 
@@ -533,20 +559,21 @@ class IncrementalMaxMinSolver:
         self.cache_hits += self._components - len(dirty)
         return rates
 
-    def link_loads(self, rates):
-        """``(link key, load)`` for every link the last :meth:`rates`
-        call re-solved; ``rates`` is what that call returned.
+    def class_loads(self, rates):
+        """``(link keys, load)`` for every link class the last
+        :meth:`rates` call re-solved; ``rates`` is what that call
+        returned, and ``link keys`` an iterator over the class's keys.
 
         A link's load is the sum of its flows' rates, added in insertion
         order from 0.0.  The members of a class have the same flows in
-        the same order, so the sum is taken once per class.
+        the same order, so the sum is taken once per class and holds
+        for each of its keys.
         """
         for cls in self._solved:
             load = 0.0
             for fid in cls.users:
                 load += rates[fid]
-            for state in cls.members:
-                yield state.key, load
+            yield map(_key, cls.members), load
 
     def _budgeted(self, flows, fresh=None):
         """The classes ``flows`` use, in first-appearance order.

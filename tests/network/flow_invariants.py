@@ -12,6 +12,11 @@ when the network disagrees:
 * **allocation** — a live link's ``allocated`` is exactly the sum of
   its flows' rates in flow order, which is what a full recomputation
   writes;
+* **stale capacity** — a live link's capacity as the solver stored it
+  is ``==`` its fresh ``available_capacity``, unless the link reported
+  a change the next reallocation has yet to read.  Links report their
+  capacity changes instead of being polled, so a change that was not
+  reported leaves the solver with the old value;
 * **remaining** — no live flow has negative ``remaining`` bytes;
 * **delivery** — a flow that completed delivered its ``nbytes`` within
   the network's completion slack.  Delivered bytes are the checker's
@@ -104,8 +109,14 @@ def check_flow_invariants(network, ledger=None):
             sums[link.key] = sums.get(link.key, 0.0) + flow.rate
         for link in dict.fromkeys(flow.links):
             totals[link.key] = totals.get(link.key, 0.0) + flow.rate
+    stored = network._solver._links
+    pending = network._changed
     for key, link in links.items():
         capacity = link.available_capacity
+        if link not in pending and stored[link].capacity != capacity:
+            record("stale-capacity",
+                   f"link {key!r} has {capacity!r} B/s available, the "
+                   f"solver still uses {stored[link].capacity!r} B/s")
         if not totals[key] <= capacity + capacity * CAPACITY_EPS:
             record("over-capacity",
                    f"link {key!r} carries {totals[key]!r} B/s over "

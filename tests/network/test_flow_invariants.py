@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.sanitizers import run_traced, trace_digest
 from repro.experiments.runner import EXPERIMENTS
+from repro.hosts import CPU
 from repro.network.flow import FlowAborted, FlowNetwork
 from repro.network.topology import Topology
 from repro.sim import Simulator
@@ -127,3 +128,31 @@ def test_guard_is_digest_neutral():
     assert guard.checks > 0
     assert guard.violations() == []
     assert trace_digest(checked) == trace_digest(plain)
+
+
+@pytest.mark.no_sanitize
+def test_unreported_capacity_change_is_detected():
+    """A CPU load written behind the channel's back never reaches the
+    solver: the next reallocation leaves the stored capacity stale."""
+    sim, network = _network(capacity=1e6)
+    cpu = CPU(sim, "a", cores=2, transfer_cost_per_byte=1e-3)
+    cpu.set_background_busy(1.5)
+    with FlowInvariantGuard() as guard:
+        network.start_flow("a", "c", 1e6, extra_links=[cpu.channel])
+        cpu._background_busy = 0.0
+        network.rebalance()
+    assert _kinds(guard.violations()) == {"stale-capacity"}
+
+
+@pytest.mark.no_sanitize
+def test_reported_capacity_change_is_not_stale():
+    sim, network = _network(capacity=1e6)
+    cpu = CPU(sim, "a", cores=2, transfer_cost_per_byte=1e-3)
+    cpu.set_background_busy(1.5)
+    with FlowInvariantGuard() as guard:
+        flow = network.start_flow("a", "c", 1e6, extra_links=[cpu.channel])
+        assert flow.rate == 500.0
+        cpu.set_background_busy(0.0)
+        network.rebalance()
+    assert flow.rate == 2000.0
+    assert guard.violations() == []

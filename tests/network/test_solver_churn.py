@@ -218,7 +218,10 @@ class _Churn:
 
         # Every link of the re-solved components is loaded with its
         # flows' rates, summed in insertion order from 0.0.
-        loads = dict(solver.link_loads(returned))
+        loads = {
+            key: load
+            for keys, load in solver.class_loads(returned) for key in keys
+        }
         assert set(loads) == {
             link for fid in returned for link in self.demands[fid].links
         }

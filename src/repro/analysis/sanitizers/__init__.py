@@ -18,7 +18,6 @@ from repro.analysis.sanitizers.determinism import (
     DeterminismReport,
     Divergence,
     check_determinism,
-    check_profile_neutrality,
     run_traced,
     trace_digest,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "attach_watchdog",
     "check_determinism",
     "check_leaks",
-    "check_profile_neutrality",
     "install_global_watchdog",
     "run_traced",
     "trace_digest",

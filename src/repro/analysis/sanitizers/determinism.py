@@ -34,7 +34,6 @@ __all__ = [
     "DeterminismReport",
     "Divergence",
     "check_determinism",
-    "check_profile_neutrality",
     "run_traced",
     "trace_digest",
 ]
@@ -166,30 +165,6 @@ def check_determinism(scenario: Callable[[], Any], runs: int = 2,
     return report
 
 
-def check_profile_neutrality(scenario: Callable[[], Any],
-                             name: str = "scenario") -> DeterminismReport:
-    """Digest one plain run against one kernel-profiled run.
-
-    The perf layer's contract (see :mod:`repro.obs.perf`) is that
-    profiling is invisible to the simulation: attaching the kernel
-    profiler must not change the captured metric/span/event stream by a
-    single byte.  Returns a :class:`DeterminismReport` whose two digests
-    are the unprofiled and profiled runs.
-    """
-    from repro.obs.perf import profile
-
-    report = DeterminismReport(name=f"{name} [profile off/on]")
-    _, plain = run_traced(scenario)
-    with profile():
-        _, profiled = run_traced(scenario)
-    for records in (plain, profiled):
-        report.digests.append(trace_digest(records))
-        report.record_counts.append(len(records))
-    if not report.ok:
-        report.divergence = _first_divergence(0, 1, plain, profiled)
-    return report
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the harness over named experiments (CI's sanitize gate)."""
     import argparse
@@ -207,11 +182,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--runs", type=int, default=2)
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="also prove kernel-profiler neutrality: digest a plain "
-             "run against a profiled run of each experiment",
-    )
     args = parser.parse_args(argv)
 
     unknown = [e for e in args.experiments if e not in EXPERIMENTS]
@@ -228,14 +198,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(report.describe())
         if not report.ok:
             failed += 1
-        if args.profile:
-            neutrality = check_profile_neutrality(
-                lambda: runner(args.quick, args.seed),
-                name=experiment_id,
-            )
-            print(neutrality.describe())
-            if not neutrality.ok:
-                failed += 1
     return 1 if failed else 0
 
 

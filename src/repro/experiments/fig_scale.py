@@ -21,7 +21,7 @@ the determinism gate checks.
 from repro.core.baselines import CostModelSelector
 from repro.experiments.base import ExperimentResult
 from repro.experiments.harness import register_replicas, run_selection_trace
-from repro.obs.perf.bench import SimUsageTracker, peak_rss_bytes
+from repro.obs.perf.bench import peak_rss_bytes
 from repro.obs.perf.clock import wall_clock
 from repro.testbed import build_testbed
 from repro.testbed.topology import scaled
@@ -52,26 +52,21 @@ def run_fig_scale(sizes=SIZES_FULL, seed=0, rounds=3, gap=30.0,
     for n_sites in sizes:
         spec = scaled(n_sites, seed=topology_seed, hosts_per_site=1)
         period = sensor_period_for(n_sites)
-        tracker = SimUsageTracker()
         begin = wall_clock()
-        with tracker:
-            testbed = build_testbed(
-                topology=spec, seed=seed, sensor_period=period,
-                dynamic=True,
-            )
-            client, replicas = testbed.roles
-            register_replicas(testbed, "file-a", replicas, file_size_mb)
-            testbed.grid.network.rebalance()
-            testbed.warm_up()
-            selector = CostModelSelector(
-                testbed.grid, testbed.information
-            )
-            trace = run_selection_trace(
-                testbed, selector, client, "file-a",
-                rounds=rounds, gap=gap,
-            )
+        testbed = build_testbed(
+            topology=spec, seed=seed, sensor_period=period, dynamic=True,
+        )
+        client, replicas = testbed.roles
+        register_replicas(testbed, "file-a", replicas, file_size_mb)
+        testbed.grid.network.rebalance()
+        testbed.warm_up()
+        selector = CostModelSelector(testbed.grid, testbed.information)
+        trace = run_selection_trace(
+            testbed, selector, client, "file-a", rounds=rounds, gap=gap,
+        )
         wall_s = wall_clock() - begin
-        events = tracker.events_processed
+        sim = testbed.grid.sim
+        events = sim.events_processed
         rows.append({
             "n_sites": n_sites,
             "regions": len(spec.regions),
@@ -81,7 +76,7 @@ def run_fig_scale(sizes=SIZES_FULL, seed=0, rounds=3, gap=30.0,
             "oracle_agreement": trace.oracle_agreement,
             "mean_fetch_seconds": trace.mean_seconds,
             "events": events,
-            "sim_s": tracker.sim_seconds,
+            "sim_s": sim.now,
             "events_per_s": events / wall_s if wall_s > 0 else 0.0,
             "wall_s": wall_s,
             "peak_rss_mb": peak_rss_bytes() / 1e6,
@@ -106,7 +101,8 @@ def run_fig_scale(sizes=SIZES_FULL, seed=0, rounds=3, gap=30.0,
             "sensors on the site-rep<->hub and hub<->hub pairs only.",
             "events, sim_s and all selection columns are seeded and "
             "digest-stable; events_per_s, wall_s and peak_rss_mb vary "
-            "with the machine (the BENCH trajectory tracks them).",
+            "with the machine (perfbench's grid_scale_1000 workload "
+            "measures the simulator's speed at this scale).",
             "Peak RSS is process-wide and monotone across rows; the "
             "last row's value is the sweep's high-water mark.",
         ],

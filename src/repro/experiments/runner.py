@@ -13,11 +13,10 @@ the experiments build and writes the merged metric/span/event stream as
 JSON Lines; ``--obs-report`` prints the per-run instrumentation summary
 instead of (or as well as) exporting it.
 
-``--perf-report`` / ``--perf-out`` attach the kernel profiler
-(:mod:`repro.obs.perf`) to every simulator instead: the former prints
-the hot-component wall-time table, the latter writes the full profile
-(components + queue samples) as JSON Lines.  Profiling is independent
-of the observability flags and never alters the trace.
+To see where an exhibit's time goes, run this module under stdlib
+``cProfile`` (``python -m cProfile -s tottime -m
+repro.experiments.runner --quick table1``); ``perfbench/run.py --trace
+1`` gives the per-layer view of the benchmark workloads.
 """
 
 import argparse
@@ -266,16 +265,6 @@ def main(argv=None):
         "--obs-report", action="store_true",
         help="print an instrumentation summary after the experiments",
     )
-    parser.add_argument(
-        "--perf-report", action="store_true",
-        help="profile the simulation kernel and print the "
-             "hot-component wall-time table",
-    )
-    parser.add_argument(
-        "--perf-out", metavar="PATH",
-        help="write the kernel profile (hot components + queue "
-             "samples) as JSON Lines",
-    )
     args = parser.parse_args(argv)
 
     if args.list:
@@ -312,16 +301,9 @@ def main(argv=None):
         capturing = capture()
     else:
         capturing = contextlib.nullcontext()
-    profiling = args.perf_report or args.perf_out
-    if profiling:
-        from repro.obs.perf import profile
-
-        perf_context = profile()
-    else:
-        perf_context = contextlib.nullcontext()
 
     sections = []
-    with capturing as collector, perf_context as profiler:
+    with capturing as collector:
         for experiment_id in requested:
             result = run_experiment(
                 experiment_id, quick=args.quick, seed=args.seed,
@@ -346,14 +328,6 @@ def main(argv=None):
             for index, session in enumerate(collector.sessions):
                 print(render_report(session, title=f"session {index}"))
                 print()
-    if profiling:
-        if args.perf_out:
-            written = profiler.export_jsonl(args.perf_out)
-            print(f"wrote {written} profile records to {args.perf_out}")
-        if args.perf_report:
-            from repro.obs.perf import render_perf_report
-
-            print(render_perf_report(profiler))
     return 0
 
 

@@ -18,26 +18,7 @@ from repro.sim.events import PRIORITY_NORMAL, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.random_streams import StreamRegistry
 
-__all__ = ["Simulator", "add_build_hook", "remove_build_hook"]
-
-#: Hooks called with every newly constructed :class:`Simulator`.  The
-#: performance layer (:mod:`repro.obs.perf`) registers here so profilers
-#: and benchmark trackers can reach simulators built deep inside an
-#: experiment; normally empty, so construction pays one falsy check.
-_BUILD_HOOKS: list[Callable[["Simulator"], None]] = []
-
-
-def add_build_hook(
-    hook: Callable[["Simulator"], None],
-) -> Callable[["Simulator"], None]:
-    """Register ``hook(sim)`` to run on every Simulator construction."""
-    _BUILD_HOOKS.append(hook)
-    return hook
-
-
-def remove_build_hook(hook: Callable[["Simulator"], None]) -> None:
-    """Unregister a hook added with :func:`add_build_hook`."""
-    _BUILD_HOOKS.remove(hook)
+__all__ = ["Simulator"]
 
 
 class Simulator:
@@ -76,8 +57,6 @@ class Simulator:
         self.events_scheduled = 0
         #: Largest queue length ever observed (diagnostic).
         self.queue_high_water = 0
-        #: Kernel profiler (see :mod:`repro.obs.perf`); None = off.
-        self._profiler: Any = None
         #: Sanitizer hooks called after every processed event with
         #: ``(simulator, event)`` — see repro.analysis.sanitizers.
         self._step_hooks: list[Callable[[Simulator, Event], None]] = []
@@ -91,9 +70,6 @@ class Simulator:
             self._queue_gauge = metrics.gauge("sim.queue_depth")
             self._hwm_gauge = metrics.gauge("sim.queue_high_water")
             self._class_counters: dict[str, Any] = {}
-        if _BUILD_HOOKS:
-            for hook in list(_BUILD_HOOKS):
-                hook(self)
 
     def __repr__(self) -> str:
         return (
@@ -118,18 +94,6 @@ class Simulator:
         """
         return sum(1 for entry in self._queue if entry[3].cancelled)
 
-    def set_profiler(self, profiler: Any) -> None:
-        """Install a kernel profiler (``None`` detaches).
-
-        The profiler (see :mod:`repro.obs.perf`) takes over callback
-        execution in :meth:`step` via its ``run_event(sim, event,
-        callbacks)`` hook; it must run every callback exactly once, in
-        order, and must not schedule events or touch ``sim.obs`` — the
-        same-seed trace digest must be byte-identical with profiling on
-        or off.
-        """
-        self._profiler = profiler
-
     # -- event factories -------------------------------------------------
 
     def event(self) -> Event:
@@ -151,8 +115,9 @@ class Simulator:
     ) -> Callable[[Simulator, Event], None]:
         """Register ``hook(sim, event)`` to run after every step.
 
-        Used by the runtime sanitizers (sim-time watchdog); hooks must
-        not schedule events or mutate the clock.
+        Used by the runtime sanitizers (sim-time watchdog) and by
+        perfbench's event clock; hooks must not schedule events or
+        mutate the clock.
         """
         self._step_hooks.append(hook)
         return hook
@@ -218,12 +183,8 @@ class Simulator:
             raise SimulationError("event scheduled in the past")
         self._now = when
         callbacks, event.callbacks = event.callbacks, None
-        profiler = self._profiler
-        if profiler is None:
-            for callback in callbacks:
-                callback(event)
-        else:
-            profiler.run_event(self, event, callbacks)
+        for callback in callbacks:
+            callback(event)
         self.events_processed += 1
         if self._obs_on:
             self._record_step(event)

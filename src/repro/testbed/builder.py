@@ -326,6 +326,8 @@ def build_testbed(seed=0, monitoring=True,
         topology = "paper3"
     if isinstance(topology, str):
         topology = preset(topology)
+    # The one check: preset factories and the generator return specs
+    # unchecked, and hand-built specs arrive here as they were written.
     topology.validate()
     mode = monitoring_mode or topology.monitoring
     if mode not in ("full", "regional"):

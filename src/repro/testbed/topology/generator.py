@@ -1,7 +1,7 @@
 """Seeded, deterministic multi-region grid generation.
 
 :func:`generate_topology` turns a :class:`GeneratorConfig` into a
-validated :class:`~repro.testbed.topology.spec.TopologySpec`: regions
+valid :class:`~repro.testbed.topology.spec.TopologySpec`: regions
 are split into core/metro/edge tiers, sites are dealt round-robin into
 regions, gateway routers are wired core-mesh / metro-to-core /
 edge-to-metro, and every capacity/latency/loss figure is drawn from a
@@ -229,7 +229,8 @@ def _draw_link(stream, src_region, dst_region, config):
 
 
 def generate_topology(config):
-    """Generate and validate the grid described by ``config``."""
+    """Generate the grid described by ``config`` (valid by construction;
+    :func:`~repro.testbed.builder.build_testbed` checks it on use)."""
     stream = RandomStream(config.seed, f"topology/{config.name}")
 
     # -- regions and sites ------------------------------------------------
@@ -291,7 +292,7 @@ def generate_topology(config):
             f"({', '.join(f'{t}={c}' for t, c in plan)}), "
             f"{config.n_sites} sites, seed {config.seed}"
         ),
-    ).validate()
+    )
 
 
 def _pick_parents(stream, pool, wanted, offset):

@@ -66,7 +66,7 @@ def flat(sites, name, roles=None):
         ),
         monitoring="full",
         roles=roles,
-    ).validate()
+    )
 
 
 def paper3():
@@ -128,7 +128,7 @@ def degraded_backbone():
             "transcontinental_federation with every backbone link at "
             "quarter capacity, 1.5x latency, elevated loss"
         ),
-    ).validate()
+    )
 
 
 def scaled(n_sites, seed=0, **overrides):

@@ -83,3 +83,25 @@ PINNED_ABL_FORECAST_ROWS = (
 def test_abl_forecast_rows_are_pinned():
     result = EXPERIMENTS["abl_forecast"](True, 0)
     assert trace_digest(result.rows) == PINNED_ABL_FORECAST_ROWS
+
+
+#: ``fig_scale``'s seeded row columns (seed 0, quick), digested the same
+#: way.  Its pinned trace does not carry the grid's size, the selection
+#: results or the kernel's event count and clock; these columns do.
+#: The wall-time and RSS columns vary with the machine and are left out.
+FIG_SCALE_SEEDED_COLUMNS = (
+    "n_sites", "regions", "hosts", "sensors", "warmup_s",
+    "oracle_agreement", "mean_fetch_seconds", "events", "sim_s",
+)
+PINNED_FIG_SCALE_ROWS = (
+    "d2ef5ee1de3ea56fc47535946865ea65382d81cf38f6e4b3b79c9ac2a8ecc722"
+)
+
+
+def test_fig_scale_seeded_columns_are_pinned():
+    result = EXPERIMENTS["fig_scale"](True, 0)
+    rows = [
+        {column: row[column] for column in FIG_SCALE_SEEDED_COLUMNS}
+        for row in result.rows
+    ]
+    assert trace_digest(rows) == PINNED_FIG_SCALE_ROWS

@@ -142,11 +142,41 @@ def test_negative_delay_rejected():
 
 
 def test_events_processed_counter():
+    """The diagnostic counters are always on, observing or not."""
     sim = Simulator()
     sim.timeout(1.0)
     sim.timeout(2.0)
     sim.run()
     assert sim.events_processed == 2
+    assert sim.events_scheduled == 2
+    assert sim.queue_high_water == 2
+    assert sim.queue_depth == 0
+
+
+def test_queue_cancelled_counts_disarmed_guards():
+    sim = Simulator(seed=0)
+    guard = sim.timeout(10.0)
+    sim.timeout(1.0)
+    guard.cancel()
+    assert sim.queue_cancelled() == 1
+    sim.run(until=2.0)
+    # run() discards cancelled entries lazily as it reaches them.
+    assert sim.queue_cancelled() == 0
+
+
+def test_observed_runs_export_load_metrics():
+    sim = Simulator(seed=0, observe=True)
+
+    def ticker():
+        for _ in range(5):
+            yield sim.timeout(1.0)
+
+    sim.process(ticker())
+    sim.run()
+    snapshot = sim.obs.metrics.snapshot()
+    assert snapshot["sim.events_scheduled"] == sim.events_scheduled
+    assert snapshot["sim.queue_high_water"] == sim.queue_high_water
+    assert snapshot["sim.events_processed"] == sim.events_processed
 
 
 def test_peek_empty_queue_is_infinite():

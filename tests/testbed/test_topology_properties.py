@@ -9,10 +9,13 @@ hang off.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.testbed import PAPER_SITES, build_testbed
 from repro.testbed.topology import (
     TIER_RANK,
     GeneratorConfig,
+    TopologySpec,
     TopologyValidationError,
+    flat,
     generate_topology,
     preset,
     scaled,
@@ -152,7 +155,7 @@ def test_named_presets_are_stable_and_distinct():
         "paper3", "fat_tree_campus", "transcontinental_federation",
         "degraded_backbone",
     )
-    digests = {name: preset(name).digest() for name in names}
+    digests = {name: preset(name).validate().digest() for name in names}
     assert len(set(digests.values())) == len(names)
     for name in names:
         assert preset(name).digest() == digests[name]
@@ -212,3 +215,23 @@ def test_validation_rejects_tier_inversion():
     )
     with pytest.raises(TopologyValidationError, match="inversion"):
         spec.validate()
+
+
+def test_build_validates_the_spec_once(monkeypatch):
+    """The generator returns its spec unchecked; the builder checks it."""
+    names = []
+    validate = TopologySpec.validate
+
+    def counting(spec):
+        names.append(spec.name)
+        return validate(spec)
+
+    monkeypatch.setattr(TopologySpec, "validate", counting)
+    build_testbed(topology=scaled(40, hosts_per_site=1), monitoring=False)
+    assert names == ["scaled-40"]
+
+
+def test_build_rejects_an_invalid_hand_built_spec():
+    spec = flat(PAPER_SITES + PAPER_SITES[:1], "duplicated")
+    with pytest.raises(TopologyValidationError, match="duplicate site"):
+        build_testbed(topology=spec)

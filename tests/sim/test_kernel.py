@@ -142,14 +142,25 @@ def test_negative_delay_rejected():
 
 
 def test_events_processed_counter():
-    """The diagnostic counters are always on, observing or not."""
     sim = Simulator()
     sim.timeout(1.0)
     sim.timeout(2.0)
     sim.run()
     assert sim.events_processed == 2
-    assert sim.events_scheduled == 2
-    assert sim.queue_high_water == 2
+
+
+def test_diagnostic_attributes_always_on():
+    """The load counters are kept on ordinary, unobserved runs."""
+    sim = Simulator(seed=0)
+
+    def ticker():
+        for _ in range(5):
+            yield sim.timeout(1.0)
+
+    sim.process(ticker())
+    sim.run()
+    assert sim.events_scheduled >= sim.events_processed > 0
+    assert sim.queue_high_water >= 1
     assert sim.queue_depth == 0
 
 

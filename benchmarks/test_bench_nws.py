@@ -3,7 +3,8 @@
 Every NWS sensor reading goes through :meth:`NwsMemory.store`.  The
 memory appends the reading and folds it into the series' forecaster
 battery only when the series' forecast is asked for, or when the
-1,000-reading bound evicts it unseen.  The reference kept under
+1,000-reading bound is about to evict it unseen; then it folds a chunk
+of ``FOLD_CHUNK`` readings at once.  The reference kept under
 ``tests/monitoring/`` folds every reading on arrival.  Seeded readings
 of one bandwidth series:
 
@@ -11,7 +12,8 @@ of one bandwidth series:
   series, which never evicts, so the memory folds nothing;
 * ``test_bench_store[full]`` stores 1,000 readings into a full series
   that was never queried, the steady state of every series nobody
-  forecasts: each store evicts one unseen reading and folds it;
+  forecasts: every ``FOLD_CHUNK``-th store evicts an unseen reading and
+  folds it with the oldest readings still stored, one chunk per call;
 * ``test_bench_first_forecast`` times the first ``forecast`` after
   1,000 unqueried readings, where the memory pays for the whole
   backlog at once.

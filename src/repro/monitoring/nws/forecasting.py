@@ -12,6 +12,15 @@ folds scores and updates all of its predictors), so their internals
 favour O(1) amortised work: windows are deques, and the median keeps
 its window in a bisect-maintained sorted list instead of re-sorting per
 prediction.
+
+A battery folds a whole chunk of readings per call:
+:meth:`Forecaster.fold` scores and ingests a sequence of readings in
+one loop over the forecaster's own state, and
+:meth:`ForecasterBattery.update` hands every forecaster the whole chunk
+in turn.  Each forecaster's error accumulator still sees the same
+additions in the same order, so the result does not depend on how the
+readings are split into chunks.
+
 Every optimisation here is value-exact — the reported predictions are
 bit-identical to the straightforward definitions (``statistics.median``
 over the window, ``math.fsum`` over the window), which the same-seed
@@ -49,17 +58,26 @@ class Forecaster:
         """Predict the next observation; None until warmed up."""
         raise NotImplementedError
 
-    def observe(self, value):
-        """Score-and-ingest in one call: the pending prediction, then
-        :meth:`update`.
+    def fold(self, values, error):
+        """Score and ingest ``values`` in order; returns ``(error, scored)``.
 
-        Semantically exactly ``predict()`` followed by ``update(value)``
-        — the built-in forecasters override it to skip the second method
-        dispatch on the battery's hot loop; subclasses get this default.
+        For each value, the pending prediction (if any) is scored
+        against it — ``abs(prediction - value)`` is added to ``error``
+        and counted in ``scored`` — and then the value is ingested.
+        Semantically exactly ``predict()`` then ``update(value)`` per
+        value; the built-in forecasters override it with one loop over
+        local state, and subclasses get this default.
         """
-        pending = self.predict()
-        self.update(value)
-        return pending
+        predict = self.predict
+        update = self.update
+        scored = 0
+        for value in values:
+            pending = predict()
+            if pending is not None:
+                error += abs(pending - value)
+                scored += 1
+            update(value)
+        return error, scored
 
 
 class LastValue(Forecaster):
@@ -78,10 +96,16 @@ class LastValue(Forecaster):
     def predict(self):
         return self._last
 
-    def observe(self, value):
-        pending = self._last
-        self._last = value
-        return pending
+    def fold(self, values, error):
+        last = self._last
+        scored = 0
+        for value in values:
+            if last is not None:
+                error += abs(last - value)
+                scored += 1
+            last = value
+        self._last = last
+        return error, scored
 
 
 class RunningMean(Forecaster):
@@ -104,12 +128,19 @@ class RunningMean(Forecaster):
             return None
         return self._sum / self._count
 
-    def observe(self, value):
+    def fold(self, values, error):
+        total = self._sum
         count = self._count
-        pending = self._sum / count if count else None
-        self._sum += value
-        self._count = count + 1
-        return pending
+        scored = 0
+        for value in values:
+            if count:
+                error += abs(total / count - value)
+                scored += 1
+            total += value
+            count += 1
+        self._sum = total
+        self._count = count
+        return error, scored
 
 
 class SlidingWindowMean(Forecaster):
@@ -141,13 +172,19 @@ class SlidingWindowMean(Forecaster):
             return None
         return math.fsum(values) / len(values)
 
-    def observe(self, value):
-        values = self._values
-        pending = math.fsum(values) / len(values) if values else None
-        values.append(value)
-        if len(values) > self.window:
-            values.popleft()
-        return pending
+    def fold(self, values, error):
+        window = self._values
+        size = self.window
+        fsum = math.fsum
+        scored = 0
+        for value in values:
+            if window:
+                error += abs(fsum(window) / len(window) - value)
+                scored += 1
+            window.append(value)
+            if len(window) > size:
+                window.popleft()
+        return error, scored
 
 
 class MedianWindow(Forecaster):
@@ -187,10 +224,26 @@ class MedianWindow(Forecaster):
             return ordered[mid]
         return (ordered[mid - 1] + ordered[mid]) / 2
 
-    def observe(self, value):
-        pending = self.predict()
-        self.update(value)
-        return pending
+    def fold(self, values, error):
+        window = self._values
+        ordered = self._sorted
+        size = self.window
+        scored = 0
+        for value in values:
+            n = len(ordered)
+            if n:
+                mid = n // 2
+                if n % 2:
+                    pending = ordered[mid]
+                else:
+                    pending = (ordered[mid - 1] + ordered[mid]) / 2
+                error += abs(pending - value)
+                scored += 1
+            window.append(value)
+            insort(ordered, value)
+            if n >= size:
+                del ordered[bisect_left(ordered, window.popleft())]
+        return error, scored
 
 
 class ExponentialSmoothing(Forecaster):
@@ -214,13 +267,20 @@ class ExponentialSmoothing(Forecaster):
     def predict(self):
         return self._state
 
-    def observe(self, value):
-        pending = self._state
-        if pending is None:
-            self._state = value
-        else:
-            self._state = self.alpha * value + (1 - self.alpha) * pending
-        return pending
+    def fold(self, values, error):
+        alpha = self.alpha
+        keep = 1 - alpha
+        state = self._state
+        scored = 0
+        for value in values:
+            if state is None:
+                state = value
+            else:
+                error += abs(state - value)
+                scored += 1
+                state = alpha * value + keep * state
+        self._state = state
+        return error, scored
 
 
 def default_battery():
@@ -241,8 +301,8 @@ def default_battery():
 class ForecasterBattery:
     """Runs every forecaster and reports the historically best one.
 
-    Before each update, every forecaster's pending prediction is scored
-    against the arriving truth (absolute error, accumulated as MAE);
+    Before each reading is ingested, every forecaster's pending
+    prediction is scored against it (absolute error, accumulated as MAE);
     :meth:`forecast` returns the prediction of the forecaster with the
     lowest MAE so far.
     """
@@ -253,12 +313,12 @@ class ForecasterBattery:
         if not forecasters:
             raise ValueError("need at least one forecaster")
         self.forecasters = list(forecasters)
-        # Scores are index-parallel to ``forecasters`` and the observe
-        # methods are prebound: update() runs once per folded reading,
-        # tens of thousands of times per run, so the per-forecaster
-        # constant factor (attribute lookups, name hashing) is hot-path
-        # cost.
-        self._observers = [f.observe for f in self.forecasters]
+        # Scores are index-parallel to ``forecasters`` and the fold
+        # methods are prebound: update() runs thousands of times per
+        # run (once per store with observability on), so per-forecaster
+        # constant factors (attribute lookups, name hashing) are
+        # hot-path cost.
+        self._folds = [f.fold for f in self.forecasters]
         self._abs_error = [0.0] * len(self.forecasters)
         self._scored = [0] * len(self.forecasters)
         self._index = {
@@ -272,18 +332,24 @@ class ForecasterBattery:
             f"{self.observations} observations>"
         )
 
-    def update(self, value):
-        """Score pending predictions against ``value``, then ingest it."""
+    def update(self, values):
+        """Fold the sequence ``values`` in order: before each reading is
+        ingested, every pending prediction is scored against it.
+
+        Runs forecaster by forecaster over the whole sequence; each
+        error accumulator sees the same additions in the same order as
+        one reading at a time would give, so any split of a series into
+        calls folds to bit-identical state.  A single reading is passed
+        as a one-element sequence.
+        """
         abs_error = self._abs_error
         scored = self._scored
         index = 0
-        for observe in self._observers:
-            pending = observe(value)
-            if pending is not None:
-                abs_error[index] += abs(pending - value)
-                scored[index] += 1
+        for fold in self._folds:
+            abs_error[index], count = fold(values, abs_error[index])
+            scored[index] += count
             index += 1
-        self.observations += 1
+        self.observations += len(values)
 
     def mae(self, name):
         """Mean absolute error of one forecaster (inf until scored)."""

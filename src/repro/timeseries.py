@@ -4,10 +4,20 @@
 readings, per-site cost values).  It supports windowed views, means and
 summary statistics, which is what the NWS memory and the Fig. 5 cost
 display need.
+
+A bounded series evicts its oldest sample on every append once full,
+which is the steady state of every NWS series.  Eviction is O(1)
+amortised: the samples live in two plain lists behind a start offset,
+an eviction only advances the offset, and the dead prefix is trimmed
+in one slice deletion once it exceeds a thirty-second of the bound.  A
+``deque(maxlen=...)`` would also evict in O(1), but it allocates a
+64-slot block per series, far more than the few samples most series of
+a large grid hold.
 """
 
 import bisect
 import math
+from itertools import islice
 
 __all__ = ["SampleSeries"]
 
@@ -15,21 +25,26 @@ __all__ = ["SampleSeries"]
 class SampleSeries:
     """Timestamped measurement samples with windowed statistics."""
 
+    __slots__ = ("max_samples", "_times", "_values", "_start")
+
     def __init__(self, max_samples=None):
         if max_samples is not None and max_samples < 1:
             raise ValueError("max_samples must be >= 1")
         self.max_samples = max_samples
         self._times = []
         self._values = []
+        #: Index of the oldest live sample; the entries before it are
+        #: evicted samples not yet trimmed.
+        self._start = 0
 
     def __repr__(self):
-        return f"<SampleSeries {len(self._times)} samples>"
+        return f"<SampleSeries {len(self)} samples>"
 
     def __len__(self):
-        return len(self._times)
+        return len(self._times) - self._start
 
     def __iter__(self):
-        return iter(zip(self._times, self._values))
+        return islice(zip(self._times, self._values), self._start, None)
 
     def append(self, time, value):
         """Record one sample; times must be non-decreasing.
@@ -37,16 +52,29 @@ class SampleSeries:
         Returns the value of the oldest sample when the bound evicts it,
         else None.
         """
-        if self._times and time < self._times[-1]:
+        times = self._times
+        if times and time < times[-1]:
             raise ValueError(
-                f"non-monotone sample time: {time} < {self._times[-1]}"
+                f"non-monotone sample time: {time} < {times[-1]}"
             )
-        self._times.append(float(time))
-        self._values.append(float(value))
-        if self.max_samples is not None and len(self._times) > self.max_samples:
-            del self._times[0]
-            return self._values.pop(0)
-        return None
+        values = self._values
+        times.append(float(time))
+        values.append(float(value))
+        bound = self.max_samples
+        start = self._start
+        if bound is None or len(times) - start <= bound:
+            return None
+        evicted = values[start]
+        start += 1
+        # Trimming every ~bound/32 evictions moves ~bound entries, so an
+        # eviction is O(1) amortised and at most ~3% of the entries are
+        # dead.
+        if start > bound >> 5:
+            del times[:start]
+            del values[:start]
+            start = 0
+        self._start = start
+        return evicted
 
     @property
     def latest(self):
@@ -56,22 +84,31 @@ class SampleSeries:
         return self._times[-1], self._values[-1]
 
     def values(self):
-        return list(self._values)
+        return self._values[self._start:]
 
     def times(self):
-        return list(self._times)
+        return self._times[self._start:]
 
     def window(self, t0, t1):
         """Samples with t0 <= time <= t1, as (time, value) pairs."""
-        lo = bisect.bisect_left(self._times, t0)
-        hi = bisect.bisect_right(self._times, t1)
-        return list(zip(self._times[lo:hi], self._values[lo:hi]))
+        times = self._times
+        lo = bisect.bisect_left(times, t0, self._start)
+        hi = bisect.bisect_right(times, t1, self._start)
+        return list(zip(times[lo:hi], self._values[lo:hi]))
 
     def recent(self, n):
-        """The last ``n`` values (oldest first)."""
+        """The last ``n`` values (oldest first; all of them if fewer)."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        return self._values[-n:] if n else []
+        values = self._values
+        return values[max(self._start, len(values) - n):] if n else []
+
+    def oldest(self, n):
+        """The first ``n`` values (oldest first; all of them if fewer)."""
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        start = self._start
+        return self._values[start:start + n]
 
     def mean(self, t0=None, t1=None):
         """Arithmetic mean of samples in the window (all if unbounded)."""
@@ -99,10 +136,12 @@ class SampleSeries:
         )
 
     def _windowed_values(self, t0, t1):
+        start = self._start
         if t0 is None and t1 is None:
-            return self._values
-        lo = 0 if t0 is None else bisect.bisect_left(self._times, t0)
-        hi = len(self._times) if t1 is None else bisect.bisect_right(
-            self._times, t1
+            return self._values[start:] if start else self._values
+        times = self._times
+        lo = start if t0 is None else bisect.bisect_left(times, t0, start)
+        hi = len(times) if t1 is None else bisect.bisect_right(
+            times, t1, start
         )
         return self._values[lo:hi]

@@ -3,9 +3,11 @@
 :class:`repro.monitoring.nws.NwsMemory` appends each reading and folds
 it into the series' :class:`ForecasterBattery` only when someone asks
 for that series' forecast or battery, or when the bound evicts it
-unseen.  :class:`EagerMemory` keeps the memory it replaced, verbatim: a
-battery fed on every stored reading.  The only addition is
-:meth:`EagerMemory.battery`, the accessor the lazy memory now offers.
+unseen (then with a chunk of the oldest stored readings).
+:class:`EagerMemory` keeps the memory it replaced, verbatim: a battery
+fed on every stored reading, one reading per ``update``.  The only
+addition is :meth:`EagerMemory.battery`, the accessor the lazy memory
+now offers.
 ``tests/monitoring/test_memory_differential.py`` requires the two to
 report bit-identical predictions, errors and histograms.
 
@@ -66,7 +68,7 @@ class EagerMemory:
         series.append(time, value)
         # The lazy memory's battery reads values back from the series,
         # which stores floats.
-        self._batteries[key].update(float(value))
+        self._batteries[key].update((float(value),))
 
     def keys(self):
         return sorted(self._series, key=str)

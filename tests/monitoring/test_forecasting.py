@@ -85,7 +85,7 @@ class TestBattery:
     def test_constant_series_predicted_exactly(self):
         battery = ForecasterBattery()
         for _ in range(20):
-            battery.update(42.0)
+            battery.update((42.0,))
         prediction, _ = battery.forecast()
         assert prediction == pytest.approx(42.0)
 
@@ -93,7 +93,7 @@ class TestBattery:
         """On a steady ramp, last-value beats the running mean."""
         battery = ForecasterBattery()
         for i in range(100):
-            battery.update(float(i))
+            battery.update((float(i),))
         assert battery.mae("last-value") < battery.mae("running-mean")
 
     def test_median_wins_on_spiky_series(self):
@@ -101,13 +101,13 @@ class TestBattery:
         battery = ForecasterBattery()
         for i in range(200):
             value = 1000.0 if i % 10 == 9 else 10.0
-            battery.update(value)
+            battery.update((value,))
         assert battery.mae("median-5") < battery.mae("last-value")
 
     def test_observation_count(self):
         battery = ForecasterBattery()
         for _ in range(7):
-            battery.update(1.0)
+            battery.update((1.0,))
         assert battery.observations == 7
 
     def test_default_battery_names_unique(self):
@@ -121,6 +121,6 @@ class TestBattery:
         stays within [min, max] of the data."""
         battery = ForecasterBattery()
         for v in values:
-            battery.update(v)
+            battery.update((v,))
         prediction, _ = battery.forecast()
         assert min(values) - 1e-6 <= prediction <= max(values) + 1e-6

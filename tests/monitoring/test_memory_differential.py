@@ -2,10 +2,11 @@
 
 :class:`repro.monitoring.nws.NwsMemory` folds a series' readings into
 its forecaster battery only when the series' forecast or battery is
-asked for, or when the bound evicts a reading the battery has not seen.
-The claim is that the battery still sees every accepted reading exactly
-once and in arrival order, so every answer is the one a battery fed on
-every store gives.  The memory must therefore match
+asked for, or when the bound evicts a reading the battery has not seen
+(then it folds a chunk ahead: that reading and the oldest ones still
+stored).  The claim is that the battery still sees every accepted
+reading exactly once and in arrival order, so every answer is the one
+a battery fed on every store gives.  The memory must therefore match
 :class:`tests.monitoring.memory_reference.EagerMemory` bit for bit: the
 prediction, every forecaster's MAE, the best forecaster's name, the
 observation count and, with observability on, the
@@ -28,6 +29,7 @@ from repro.monitoring.nws.forecasting import (
     SlidingWindowMean,
     default_battery,
 )
+from repro.monitoring.nws.memory import FOLD_CHUNK
 from repro.sim import Simulator
 from tests.monitoring.memory_reference import EagerMemory
 
@@ -42,7 +44,7 @@ KEYS = (
 
 
 class _TwiceLast(Forecaster):
-    """A custom forecaster that relies on the default ``observe``."""
+    """A custom forecaster that relies on the default ``fold``."""
 
     __slots__ = ("_last",)
 
@@ -204,15 +206,43 @@ def test_store_folds_nothing_until_asked():
 
 def test_eviction_folds_only_the_unseen_reading():
     memory = NwsMemory(Simulator(), max_samples_per_series=3)
-    for time in range(5):
+    for time in range(4):
         memory.store(KEY, time, float(time))
-    # Readings 0 and 1 left the full, never-queried series unseen.
-    assert memory.folded == 2
+    # Reading 0 left the full, never-queried series unseen: it was
+    # folded with the whole series behind it, since the bound is below
+    # the fold chunk.
+    assert memory.folded == 4
+    memory.store(KEY, 4, 4.0)
+    # Reading 1 had been folded, so its eviction folds nothing.
+    assert memory.folded == 4
     assert memory.series(KEY).values() == [2.0, 3.0, 4.0]
     assert memory.battery(KEY).observations == 5
     # Caught up: the next eviction drops a reading already folded.
     memory.store(KEY, 5, 5.0)
     assert memory.folded == 5
+
+
+def test_unseen_eviction_folds_one_chunk_ahead():
+    bound = FOLD_CHUNK + 8
+    lazy = NwsMemory(Simulator(), max_samples_per_series=bound)
+    eager = EagerMemory(Simulator(), max_samples_per_series=bound)
+    folds = []
+    for time in range(bound + 2 * FOLD_CHUNK + 1):
+        value = float((time * 7919) % 23)
+        lazy.store(KEY, time, value)
+        eager.store(KEY, time, value)
+        folds.append(lazy.folded)
+    # Each unseen eviction folds exactly one chunk, and the next one
+    # comes once the bound again holds only unfolded readings.
+    assert folds[bound - 1] == 0
+    assert folds[bound] == FOLD_CHUNK
+    assert folds[bound + FOLD_CHUNK - 1] == FOLD_CHUNK
+    assert folds[bound + FOLD_CHUNK] == 2 * FOLD_CHUNK
+    assert folds[-1] == 3 * FOLD_CHUNK
+    stored = len(folds)
+    assert stored - lazy.folded <= bound
+    assert _battery(lazy, KEY) == _battery(eager, KEY)
+    assert lazy.folded == stored
 
 
 def test_rejected_store_leaves_the_battery_untouched():
@@ -278,7 +308,8 @@ def test_first_fold_builds_one_battery(first_fold):
     elif first_fold == "unseen eviction":
         for _ in range(3):
             store()
-        assert memory.folded == 1
+        # The evicted reading and the three still stored.
+        assert memory.folded == 4
     else:
         store()
     assert len(built) == 1

@@ -17,6 +17,7 @@ from repro.monitoring.nws import (
     Sensor,
     series_key,
 )
+from repro.monitoring.nws.memory import FOLD_CHUNK
 from repro.sim import Simulator
 from repro.sim.events import Event, Timeout
 from repro.testbed import build_testbed
@@ -107,10 +108,13 @@ class TestNwsMemory:
 
         assert len(stored) > 20
         assert min(stored.values()) > 8
-        # A queried series has folded every reading; any other series
-        # only the readings its bound evicted unseen.
+        # A queried series has folded every reading.  Any other series
+        # folds only when its bound is about to evict an unseen reading,
+        # and then folds that reading with the 8 still stored (the bound
+        # is below the fold chunk): 9 readings at every 9th store.
+        assert FOLD_CHUNK > 8
         expected = sum(
-            count if key in queried else count - 8
+            count if key in queried else 9 * (count // 9)
             for key, count in stored.items()
         )
         assert memory.folded == expected

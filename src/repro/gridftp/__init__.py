@@ -12,13 +12,15 @@ need; the ones the paper exercises are all modelled here:
 * **partial file transfer** (offset + length);
 * **third-party transfer** (client steers data between two servers);
 * **striped transfer** (future-work feature: stripes pulled from several
-  source hosts at once) — :mod:`repro.gridftp.striped`.
+  source hosts at once) and co-allocated downloads, which share one
+  multi-source skeleton — :mod:`repro.gridftp.coallocation`.
 """
 
 from repro.gridftp.coallocation import (
     CoallocationResult,
     brute_force_coallocation_get,
     conservative_coallocation_get,
+    striped_get,
 )
 from repro.gridftp.backoff import BackoffPolicy
 from repro.gridftp.control import ControlChannel
@@ -46,7 +48,6 @@ from repro.gridftp.reliable import (
     RetryBudgetExhaustedError,
     TooManyAttemptsError,
 )
-from repro.gridftp.striped import striped_get
 
 __all__ = [
     "AttemptTimeout",

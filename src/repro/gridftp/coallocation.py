@@ -1,16 +1,22 @@
-"""Co-allocated downloads: scheduling blocks across replica servers.
+"""Multi-source downloads: striping and co-allocation across replicas.
 
-Striped transfer (:mod:`repro.gridftp.striped`) splits a file *evenly*
-across sources, so the slowest server finishes last and dictates the
-transfer time.  Co-allocation research (including the paper's group's
-own follow-up work) fixes this with demand-driven scheduling:
+Every function here pulls one file from several source servers at once
+(each must hold a full replica) and shares one skeleton: check that the
+sources agree on the size, open a GSI-authenticated control channel to
+each, run one worker process per source, close, and assemble the local
+file.  They differ only in how the workers split the file:
 
-* :func:`brute_force_coallocation_get` — the even split, for reference
-  (equivalent to striping but expressed in the block framework);
-* :func:`conservative_coallocation_get` — the file is cut into fixed
-  blocks; each server fetches the next unassigned block as soon as it
-  finishes its previous one, so fast servers naturally carry more of
-  the file and the tail shrinks to at most one block per server.
+* :func:`striped_get` — striped GridFTP (the paper's future-work item
+  #1): an *even* slice per source, so the aggregate rate can exceed any
+  one server's disk or access link, but the slowest server finishes
+  last and dictates the transfer time;
+* :func:`brute_force_coallocation_get` — the same even split, as the
+  baseline co-allocation is measured against;
+* :func:`conservative_coallocation_get` — demand-driven scheduling
+  (including the paper's group's own follow-up work): the file is cut
+  into fixed blocks; each server fetches the next unassigned block as
+  soon as it finishes its previous one, so fast servers naturally carry
+  more of the file and the tail shrinks to at most one block per server.
 """
 
 from repro.gridftp.control import ControlChannel
@@ -26,6 +32,7 @@ __all__ = [
     "CoallocationResult",
     "brute_force_coallocation_get",
     "conservative_coallocation_get",
+    "striped_get",
 ]
 
 
@@ -45,9 +52,26 @@ class CoallocationResult:
         return f"<CoallocationResult {shares}>"
 
 
-def _open_all(client, server_names, remote_name):
-    """Authenticate to all sources; generator returning (payload, channels)."""
+def _multi_source_get(client, server_names, remote_name, local_name,
+                      protocol, streams, label, plan):
+    """The steps every multi-source download shares.
+
+    A generator returning the :class:`TransferRecord`.  Control set-up
+    is serial from the client's point of view (one client process
+    drives every channel); the data phase runs one worker process per
+    source, each under its own ``coalloc.worker`` span.
+    ``plan(payload, sources, fetch)`` returns that worker,
+    ``worker(server_name, span)``, a generator moving its share through
+    ``fetch(server_name, nbytes)``.
+    """
+    if not server_names:
+        raise ValueError("need at least one source server")
+    if streams < 1:
+        raise ValueError("streams per source must be >= 1")
     grid = client.grid
+    sim = grid.sim
+    mode = ExtendedBlockMode()
+    started_at = sim.now
     servers = [
         grid.service(name, client.server_service) for name in server_names
     ]
@@ -57,6 +81,12 @@ def _open_all(client, server_names, remote_name):
             f"sources disagree on the size of {remote_name!r}: "
             f"{sorted(sizes)}"
         )
+    payload = sizes.pop()
+    source = "+".join(server_names)
+    telemetry = TransferTelemetry(
+        grid, protocol, source, client.host_name, remote_name,
+        servers=len(server_names),
+    )
     channels = []
     for name, server in zip(server_names, servers):
         channel = yield from ControlChannel.open(
@@ -67,7 +97,95 @@ def _open_all(client, server_names, remote_name):
             server.login_commands + server.retrieve_commands
         )
         channels.append(channel)
-    return sizes.pop(), channels
+    telemetry.phase("control")
+    data_start = sim.now
+
+    def fetch(server_name, nbytes):
+        return run_data_transfer(
+            grid, server_name, client.host_name, nbytes,
+            mode=mode, streams=streams,
+            label=f"{label}:{remote_name}@{server_name}",
+        )
+
+    worker = plan(payload, len(server_names), fetch)
+
+    def run_worker(server_name):
+        span = telemetry.child_span("coalloc.worker", server=server_name)
+        yield from worker(server_name, span)
+        span.finish()
+
+    yield AllOf(
+        sim, [sim.process(run_worker(name)) for name in server_names]
+    )
+    data_seconds = sim.now - data_start
+    telemetry.phase("data")
+
+    for channel in channels:
+        yield from channel.close()
+    client._store_local(local_name or remote_name, payload)
+    telemetry.phase("teardown")
+
+    record = TransferRecord(
+        protocol=protocol,
+        source=source,
+        destination=client.host_name,
+        filename=remote_name,
+        payload_bytes=payload,
+        wire_bytes=mode.wire_bytes(payload),
+        streams=streams * len(server_names),
+        mode_name=mode.name,
+        started_at=started_at,
+        auth_seconds=0.0,
+        control_seconds=data_start - started_at,
+        startup_seconds=0.0,
+        data_seconds=data_seconds,
+        finished_at=sim.now,
+    )
+    telemetry.finish(record)
+    return record
+
+
+def _even_split(payload, sources, fetch):
+    """The ``plan`` giving each source one equal share of the file."""
+    share = payload / sources
+
+    def worker(server_name, span):
+        span.set(share_bytes=share)
+        yield from fetch(server_name, share)
+
+    return worker
+
+
+def striped_get(client, source_server_names, remote_name, local_name=None,
+                streams_per_stripe=1):
+    """Fetch ``remote_name`` striped across several servers.
+
+    A generator (run it with ``yield from``) returning a
+    :class:`TransferRecord`.  ``client`` is a
+    :class:`repro.gridftp.GridFtpClient`; each stripe may itself use
+    ``streams_per_stripe`` parallel streams.
+    """
+    record = yield from _multi_source_get(
+        client, source_server_names, remote_name, local_name,
+        "gridftp-striped", streams_per_stripe, "stripe", _even_split,
+    )
+    return record
+
+
+def brute_force_coallocation_get(client, server_names, remote_name,
+                                 local_name=None, streams_per_server=1):
+    """Even-split co-allocation (one giant block per server).
+
+    A generator returning a :class:`CoallocationResult`.  Provided as
+    the baseline the conservative scheduler is measured against; the
+    slowest server's share determines the completion time.
+    """
+    record = yield from _multi_source_get(
+        client, server_names, remote_name, local_name,
+        "gridftp-coalloc-bruteforce", streams_per_server, "coalloc-bf",
+        _even_split,
+    )
+    return CoallocationResult(record, {name: 1 for name in server_names})
 
 
 def conservative_coallocation_get(client, server_names, remote_name,
@@ -80,155 +198,33 @@ def conservative_coallocation_get(client, server_names, remote_name,
     server runs a worker loop: grab the next block, transfer it, repeat
     until the block queue drains.
     """
-    if not server_names:
-        raise ValueError("need at least one source server")
     if block_bytes <= 0:
         raise ValueError("block_bytes must be positive")
-    if streams_per_server < 1:
-        raise ValueError("streams_per_server must be >= 1")
-    local_name = local_name or remote_name
-    grid = client.grid
-    sim = grid.sim
-    mode = ExtendedBlockMode()
-    started_at = sim.now
-    telemetry = TransferTelemetry(
-        grid, "gridftp-coalloc", "+".join(server_names),
-        client.host_name, remote_name, servers=len(server_names),
-    )
-
-    payload, channels = yield from _open_all(
-        client, server_names, remote_name
-    )
-    telemetry.phase("control")
-
-    # Build the block queue.
-    blocks = []
-    offset = 0.0
-    while offset < payload:
-        blocks.append(min(block_bytes, payload - offset))
-        offset += block_bytes
-    queue = list(reversed(blocks))  # pop() takes from the front
-
     blocks_by_server = {name: 0 for name in server_names}
-    data_start = sim.now
 
-    def worker(server_name):
-        worker_span = telemetry.child_span(
-            "coalloc.worker", server=server_name
-        )
-        while queue:
-            block = queue.pop()
-            block_span = worker_span.child(
-                "coalloc.block", server=server_name, block_bytes=block
-            )
-            yield from run_data_transfer(
-                grid, server_name, client.host_name, block,
-                mode=mode, streams=streams_per_server,
-                label=f"coalloc:{remote_name}@{server_name}",
-            )
-            block_span.finish()
-            blocks_by_server[server_name] += 1
-        worker_span.set(blocks=blocks_by_server[server_name])
-        worker_span.finish()
+    def plan(payload, sources, fetch):
+        blocks = []
+        offset = 0.0
+        while offset < payload:
+            blocks.append(min(block_bytes, payload - offset))
+            offset += block_bytes
+        queue = list(reversed(blocks))  # pop() takes from the front
 
-    workers = [
-        sim.process(worker(name)) for name in server_names
-    ]
-    if workers:
-        yield AllOf(sim, workers)
-    data_seconds = sim.now - data_start
-    telemetry.phase("data")
+        def worker(server_name, span):
+            while queue:
+                block = queue.pop()
+                block_span = span.child(
+                    "coalloc.block", server=server_name, block_bytes=block
+                )
+                yield from fetch(server_name, block)
+                block_span.finish()
+                blocks_by_server[server_name] += 1
+            span.set(blocks=blocks_by_server[server_name])
 
-    for channel in channels:
-        yield from channel.close()
-    client._store_local(local_name, payload)
-    telemetry.phase("teardown")
+        return worker
 
-    record = TransferRecord(
-        protocol="gridftp-coalloc",
-        source="+".join(server_names),
-        destination=client.host_name,
-        filename=remote_name,
-        payload_bytes=payload,
-        wire_bytes=mode.wire_bytes(payload),
-        streams=streams_per_server * len(server_names),
-        mode_name=mode.name,
-        started_at=started_at,
-        auth_seconds=0.0,
-        control_seconds=data_start - started_at,
-        startup_seconds=0.0,
-        data_seconds=data_seconds,
-        finished_at=sim.now,
+    record = yield from _multi_source_get(
+        client, server_names, remote_name, local_name,
+        "gridftp-coalloc", streams_per_server, "coalloc", plan,
     )
-    telemetry.finish(record)
     return CoallocationResult(record, blocks_by_server)
-
-
-def brute_force_coallocation_get(client, server_names, remote_name,
-                                 local_name=None, streams_per_server=1):
-    """Even-split co-allocation (one giant block per server).
-
-    A generator returning a :class:`CoallocationResult`.  Provided as
-    the baseline the conservative scheduler is measured against; the
-    slowest server's share determines the completion time.
-    """
-    if not server_names:
-        raise ValueError("need at least one source server")
-    local_name = local_name or remote_name
-    grid = client.grid
-    sim = grid.sim
-    mode = ExtendedBlockMode()
-    started_at = sim.now
-    telemetry = TransferTelemetry(
-        grid, "gridftp-coalloc-bruteforce", "+".join(server_names),
-        client.host_name, remote_name, servers=len(server_names),
-    )
-
-    payload, channels = yield from _open_all(
-        client, server_names, remote_name
-    )
-    telemetry.phase("control")
-    share = payload / len(server_names)
-    data_start = sim.now
-
-    def worker(server_name):
-        worker_span = telemetry.child_span(
-            "coalloc.worker", server=server_name, share_bytes=share
-        )
-        yield from run_data_transfer(
-            grid, server_name, client.host_name, share,
-            mode=mode, streams=streams_per_server,
-            label=f"coalloc-bf:{remote_name}@{server_name}",
-        )
-        worker_span.finish()
-
-    workers = [sim.process(worker(name)) for name in server_names]
-    yield AllOf(sim, workers)
-    data_seconds = sim.now - data_start
-    telemetry.phase("data")
-
-    for channel in channels:
-        yield from channel.close()
-    client._store_local(local_name, payload)
-    telemetry.phase("teardown")
-
-    record = TransferRecord(
-        protocol="gridftp-coalloc-bruteforce",
-        source="+".join(server_names),
-        destination=client.host_name,
-        filename=remote_name,
-        payload_bytes=payload,
-        wire_bytes=mode.wire_bytes(payload),
-        streams=streams_per_server * len(server_names),
-        mode_name=mode.name,
-        started_at=started_at,
-        auth_seconds=0.0,
-        control_seconds=data_start - started_at,
-        startup_seconds=0.0,
-        data_seconds=data_seconds,
-        finished_at=sim.now,
-    )
-    telemetry.finish(record)
-    return CoallocationResult(
-        record, {name: 1 for name in server_names}
-    )

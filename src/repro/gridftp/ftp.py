@@ -29,8 +29,6 @@ class FtpServer:
         self.host_name = host_name
         self.host = grid.host(host_name)
         self.connections = Resource(grid.sim, max_connections)
-        #: Completed transfer records served by this server.
-        self.served = []
         grid.register_service(host_name, self.service_name, self)
 
     def __repr__(self):
@@ -75,6 +73,7 @@ class FtpClient:
         """
         local_name = local_name or remote_name
         server = self.grid.service(server_name, self.server_service)
+        mode = StreamMode()
         sim = self.grid.sim
         started_at = sim.now
         telemetry = TransferTelemetry(
@@ -88,16 +87,18 @@ class FtpClient:
                 self.grid, self.host_name, server_name
             )
             telemetry.phase("connect")
+            # Plain FTP has no separate authentication: USER/PASS is
+            # part of the control exchange, and the auth phase is empty.
             control_start = sim.now
             yield from channel.exchange(server.login_commands)
-            auth_seconds = yield from self._authenticate(channel, server)
             yield from channel.exchange(server.retrieve_commands)
             payload = server.size_of(remote_name)
-            control_seconds = sim.now - control_start - auth_seconds
+            control_seconds = sim.now - control_start
             telemetry.split_phase("control", control_seconds, "auth")
 
-            result = yield from self._move_data(
-                server_name, payload, remote_name
+            result = yield from run_data_transfer(
+                self.grid, server_name, self.host_name, payload,
+                mode=mode, streams=1, label=f"{self.protocol}:{remote_name}",
             )
             telemetry.split_phase("startup", result.startup_seconds, "data")
 
@@ -112,39 +113,17 @@ class FtpClient:
             filename=remote_name,
             payload_bytes=payload,
             wire_bytes=result.wire_bytes,
-            streams=self._streams(),
-            mode_name=self._mode().name,
+            streams=1,
+            mode_name=mode.name,
             started_at=started_at,
-            auth_seconds=auth_seconds,
+            auth_seconds=0.0,
             control_seconds=control_seconds,
             startup_seconds=result.startup_seconds,
             data_seconds=result.data_seconds,
             finished_at=sim.now,
         )
         telemetry.finish(record)
-        server.served.append(record)
         return record
-
-    # -- protocol hooks overridden by GridFTP ------------------------------
-
-    def _authenticate(self, channel, server):
-        """Plain FTP: the USER/PASS exchange already counted as control."""
-        return 0.0
-        yield  # pragma: no cover - makes this a generator
-
-    def _mode(self):
-        return StreamMode()
-
-    def _streams(self):
-        return 1
-
-    def _move_data(self, server_name, payload, remote_name):
-        result = yield from run_data_transfer(
-            self.grid, server_name, self.host_name, payload,
-            mode=self._mode(), streams=self._streams(),
-            label=f"{self.protocol}:{remote_name}",
-        )
-        return result
 
     def _store_local(self, local_name, payload, source=None):
         """Materialise the received bytes locally.

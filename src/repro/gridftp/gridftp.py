@@ -135,7 +135,6 @@ class GridFtpClient(FtpClient):
             finished_at=sim.now,
         )
         telemetry.finish(record)
-        server.served.append(record)
         return record
 
     def _verify_received(self, manifest, stored, server_name, remote_name,
@@ -261,7 +260,6 @@ class GridFtpClient(FtpClient):
             finished_at=sim.now,
         )
         telemetry.finish(record)
-        src_server.served.append(record)
         return record
 
     # -- helpers ------------------------------------------------------------

@@ -135,31 +135,12 @@ class ReliableTransferResult:
         return self.finished_at - self.started_at
 
 
-class _FixedSource:
-    """Classic RFT binding: one named server, no failover."""
+class _Binding:
+    """What a source binding reports back: verification outcomes to the
+    health registry, operational faults to the fault listener."""
 
-    can_failover = False
-
-    def __init__(self, rft, server_name, remote_name, manifest, health):
-        self.rft = rft
-        self.server_name = server_name
-        self.filename = remote_name
-        self.manifest = manifest
-        self.verify = manifest is not None
-        self.health = health
-        self.fault_listener = None
-        server = rft.grid.service(server_name, rft.client.server_service)
-        self.payload = server.size_of(remote_name)
-
-    def span_attrs(self):
-        return {"server": self.server_name}
-
-    def bind(self, avoid):
-        version = self.manifest.version if self.verify \
-            else _stored_version(self.rft.grid, self.server_name,
-                                 self.filename)
-        return self.server_name, self.filename, version
-        yield  # pragma: no cover - makes this a generator
+    health = None
+    fault_listener = None
 
     def record_failure(self, server_name, reason):
         if self.health is not None:
@@ -180,7 +161,33 @@ class _FixedSource:
             self.fault_listener.on_success(server_name)
 
 
-class _SelectedSource:
+class _FixedSource(_Binding):
+    """Classic RFT binding: one named server, no failover."""
+
+    can_failover = False
+
+    def __init__(self, rft, server_name, remote_name, manifest, health):
+        self.rft = rft
+        self.server_name = server_name
+        self.filename = remote_name
+        self.manifest = manifest
+        self.verify = manifest is not None
+        self.health = health
+        server = rft.grid.service(server_name, rft.client.server_service)
+        self.payload = server.size_of(remote_name)
+
+    def span_attrs(self):
+        return {"server": self.server_name}
+
+    def bind(self, avoid):
+        version = self.manifest.version if self.verify \
+            else _stored_version(self.rft.grid, self.server_name,
+                                 self.filename)
+        return self.server_name, self.filename, version
+        yield  # pragma: no cover - makes this a generator
+
+
+class _SelectedSource(_Binding):
     """Replica binding through the selection server; re-selects on
     every fault, skipping replicas that already misbehaved."""
 
@@ -224,24 +231,6 @@ class _SelectedSource:
         version = self.manifest.version if self.verify \
             else _stored_version(self.rft.grid, pick, entry.physical_name)
         return pick, entry.physical_name, version
-
-    def record_failure(self, server_name, reason):
-        if self.health is not None:
-            self.health.record_failure(
-                self.filename, server_name, reason=reason
-            )
-
-    def record_success(self, server_name):
-        if self.health is not None:
-            self.health.record_success(self.filename, server_name)
-
-    def note_fault(self, server_name, kind):
-        if self.fault_listener is not None:
-            self.fault_listener.on_fault(server_name, kind)
-
-    def note_success(self, server_name):
-        if self.fault_listener is not None:
-            self.fault_listener.on_success(server_name)
 
 
 def _stored_version(grid, host_name, physical_name):
@@ -385,33 +374,10 @@ class ReliableFileTransfer:
                         fault_number=faults, fault_kind="no-live-replica",
                         retry_after=error.retry_after,
                     )
-                    if faults >= self.max_attempts:
-                        span.set(error="too-many-attempts", faults=faults)
-                        span.finish()
-                        raise TooManyAttemptsError(
-                            f"{binding.filename!r}: gave up after "
-                            f"{faults} failed attempts (no live replica)"
-                        ) from error
-                    delay = (
-                        error.retry_after
-                        if error.retry_after is not None
-                        else self.backoff.delay(faults, self._jitter_stream)
+                    backoff_waited = yield from self._retry_or_give_up(
+                        span, binding.filename, faults, backoff_waited,
+                        "(no live replica)", error.retry_after, error,
                     )
-                    exhausted = self.backoff.exhaustion(
-                        faults, backoff_waited + delay
-                    )
-                    if exhausted is not None:
-                        span.set(error="retry-budget", faults=faults)
-                        span.finish()
-                        raise RetryBudgetExhaustedError(
-                            f"{binding.filename!r}: retry budget "
-                            f"({exhausted}) exhausted after {faults} "
-                            f"faults and {backoff_waited:.1f}s waited",
-                            exhausted, faults, backoff_waited,
-                        ) from error
-                    backoff_waited += delay
-                    obs.metrics.counter("rft.retries").inc()
-                    yield sim.timeout(delay)
                     continue
                 server_name, physical_name, version = current
                 if ranges is None:
@@ -521,32 +487,12 @@ class ReliableFileTransfer:
                     chunk_bytes=chunk, fault_number=faults,
                     fault_kind=fault_kind,
                 )
-                if faults >= self.max_attempts:
-                    span.set(error="too-many-attempts", faults=faults)
-                    span.finish()
-                    raise TooManyAttemptsError(
-                        f"{binding.filename!r}: gave up after "
-                        f"{faults} failed attempts at offset "
-                        f"{offset:.0f}"
-                    ) from None
                 if binding.can_failover:
                     current = None  # re-select the source
-                delay = self.backoff.delay(faults, self._jitter_stream)
-                exhausted = self.backoff.exhaustion(
-                    faults, backoff_waited + delay
+                backoff_waited = yield from self._retry_or_give_up(
+                    span, binding.filename, faults, backoff_waited,
+                    f"at offset {offset:.0f}", None, None,
                 )
-                if exhausted is not None:
-                    span.set(error="retry-budget", faults=faults)
-                    span.finish()
-                    raise RetryBudgetExhaustedError(
-                        f"{binding.filename!r}: retry budget "
-                        f"({exhausted}) exhausted after {faults} faults "
-                        f"and {backoff_waited:.1f}s waited",
-                        exhausted, faults, backoff_waited,
-                    ) from None
-                backoff_waited += delay
-                obs.metrics.counter("rft.retries").inc()
-                yield sim.timeout(delay)
                 continue
             chunk_span.finish()
             obs.metrics.counter("rft.chunks").inc()
@@ -608,6 +554,41 @@ class ReliableFileTransfer:
             delivered_corrupt_blocks=delivered_corrupt,
             no_replica_waits=no_replica_waits,
         )
+
+    def _retry_or_give_up(self, span, filename, faults, waited, where,
+                          retry_after, cause):
+        """Wait out one fault's backoff, or give the transfer up.
+
+        A generator returning the total backoff waited so far.  At the
+        attempt cap it raises :class:`TooManyAttemptsError` (``where``
+        ends its message); when the next wait would overrun the backoff
+        policy's budget, :class:`RetryBudgetExhaustedError`.  Both close
+        ``span`` and carry ``cause``.  A ``retry_after`` hint replaces
+        the backoff delay, so no jitter is drawn for it.
+        """
+        if faults >= self.max_attempts:
+            span.set(error="too-many-attempts", faults=faults)
+            span.finish()
+            raise TooManyAttemptsError(
+                f"{filename!r}: gave up after {faults} failed attempts "
+                f"{where}"
+            ) from cause
+        delay = (
+            retry_after if retry_after is not None
+            else self.backoff.delay(faults, self._jitter_stream)
+        )
+        exhausted = self.backoff.exhaustion(faults, waited + delay)
+        if exhausted is not None:
+            span.set(error="retry-budget", faults=faults)
+            span.finish()
+            raise RetryBudgetExhaustedError(
+                f"{filename!r}: retry budget ({exhausted}) exhausted after "
+                f"{faults} faults and {waited:.1f}s waited",
+                exhausted, faults, waited,
+            ) from cause
+        self.grid.obs.metrics.counter("rft.retries").inc()
+        yield self.grid.sim.timeout(delay)
+        return waited + delay
 
     def _count_delivered_corrupt(self, manifest, server_name,
                                  physical_name, offset, chunk):

@@ -32,8 +32,22 @@ def test_quick_experiment_is_deterministic(experiment_id):
 #: groups; ``fig_chaos`` is the longest of the three streams;
 #: ``abl_forecast`` carries the NWS forecast-error histograms;
 #: ``abl_scale`` and ``abl_staleness`` build flat grids of synthetic
-#: sites through :func:`~repro.testbed.topology.presets.flat`.
+#: sites through :func:`~repro.testbed.topology.presets.flat`;
+#: ``fig3`` runs plain FTP and GridFTP gets side by side; ``abl_coalloc``
+#: and ``abl_striped`` run every multi-source get.
 PINNED_DIGESTS = {
+    "fig3": (
+        "e29d53260328474e05e0ca9a0791a7977a6c5981d3ea4bc4816e8dc2130f6fa0",
+        47,
+    ),
+    "abl_coalloc": (
+        "a264a46cab86af2a7174531c4f164fcd13e7283253e9b9aa6edd2bd86de93c77",
+        55,
+    ),
+    "abl_striped": (
+        "82d19b1f3596d735be5e3167f190491717a67b7bc69ed9d7afd60668ea075837",
+        46,
+    ),
     "abl_forecast": (
         "84132ad6efc994975f017f4cf92707706f4f7e4dade4005c2bd2d4f85310a96e",
         11,
@@ -70,19 +84,26 @@ def test_quick_trace_digest_is_pinned(experiment_id):
     assert trace_digest(records) == digest
 
 
-#: ``abl_forecast``'s result rows (seed 0, quick), digested the same
-#: way.  Its trace holds only metrics, and under capture observability
-#: is on, which makes the NWS memory fold every reading as it arrives;
-#: the rows, taken with observability off, are where a battery that
-#: missed readings would show (every MAE ``inf``, ``last-value`` best).
-PINNED_ABL_FORECAST_ROWS = (
-    "0ce78870b8f69617244fffafb0cde57be3c5bf2d9970de10d6cb3cb4d43e681f"
-)
+#: Result rows (seed 0, quick), digested the same way.
+#: ``abl_forecast``'s trace holds only metrics, and under capture
+#: observability is on, which makes the NWS memory fold every reading as
+#: it arrives; the rows, taken with observability off, are where a
+#: battery that missed readings would show (every MAE ``inf``,
+#: ``last-value`` best).  ``abl_striped``'s rows are its fetch timings,
+#: pinned apart from its trace so that a change in what striped gets
+#: emit cannot hide a change in what they cost.
+PINNED_ROWS = {
+    "abl_forecast":
+        "0ce78870b8f69617244fffafb0cde57be3c5bf2d9970de10d6cb3cb4d43e681f",
+    "abl_striped":
+        "8675f221715146ebda421e5bb236e6ed427931fbdd989ddbfd53629d2e43d7cb",
+}
 
 
-def test_abl_forecast_rows_are_pinned():
-    result = EXPERIMENTS["abl_forecast"](True, 0)
-    assert trace_digest(result.rows) == PINNED_ABL_FORECAST_ROWS
+@pytest.mark.parametrize("experiment_id", sorted(PINNED_ROWS))
+def test_quick_rows_are_pinned(experiment_id):
+    result = EXPERIMENTS[experiment_id](True, 0)
+    assert trace_digest(result.rows) == PINNED_ROWS[experiment_id]
 
 
 #: ``fig_scale``'s seeded row columns (seed 0, quick), digested the same

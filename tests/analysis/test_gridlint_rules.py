@@ -97,7 +97,7 @@ def test_gridftp_package_may_call_datachannel_raw():
     )
     flagged = lint_source(source, path="src/repro/experiments/raw.py")
     assert [f.code for f in flagged] == ["GL007", "GL007"]
-    exempt = lint_source(source, path="src/repro/gridftp/striped.py")
+    exempt = lint_source(source, path="src/repro/gridftp/coallocation.py")
     assert exempt == []
 
 

@@ -70,13 +70,6 @@ class TestFtp:
         run_process(grid, client.get("src", "file-a"))
         assert grid.host("dst").filesystem.size_of("file-a") == megabytes(64)
 
-    def test_server_records_served_transfers(self):
-        grid = grid_with_servers()
-        client = FtpClient(grid, "dst")
-        run_process(grid, client.get("src", "file-a"))
-        server = grid.service("src", "ftp")
-        assert len(server.served) == 1
-
     def test_connection_limit_serialises_clients(self):
         grid = build_two_host_grid()
         FtpServer(grid, "src", max_connections=1)

@@ -12,6 +12,7 @@ from repro.gridftp import (
     GridFtpClient,
     GridFtpServer,
     ReliableFileTransfer,
+    RetryBudgetExhaustedError,
     TooManyAttemptsError,
 )
 from repro.integrity import ChecksumManifest, ReplicaHealthRegistry
@@ -189,15 +190,24 @@ class TestReplicaFailover:
 
 
 class TestRetryAfterHint:
-    def test_selection_error_carries_the_hint(self):
+    @staticmethod
+    def quarantined_rft(**rft_options):
+        """Every replica quarantined for 40 s, and an RFT to fetch it."""
         testbed = stocked_testbed()
         health = ReplicaHealthRegistry(
-            grid=testbed.grid, failure_threshold=1,
-            quarantine_seconds=40.0,
+            testbed.grid, failure_threshold=1, quarantine_seconds=40.0
         )
         testbed.selection_server.health = health
         for host_name in ("alpha4", "hit0", "lz02"):
             health.quarantine("file-a", host_name)
+        rft = ReliableFileTransfer(
+            GridFtpClient(testbed.grid, "alpha1"),
+            marker_interval_bytes=2 * BLOCK, **rft_options,
+        )
+        return testbed, rft
+
+    def test_selection_error_carries_the_hint(self):
+        testbed, _ = self.quarantined_rft()
         with pytest.raises(NoLiveReplicaError) as exc:
             run_process(
                 testbed.grid,
@@ -206,20 +216,11 @@ class TestRetryAfterHint:
         assert exc.value.retry_after == pytest.approx(40.0)
 
     def test_transfer_waits_out_the_hint_instead_of_backoff(self):
-        testbed = stocked_testbed()
+        testbed, rft = self.quarantined_rft(
+            backoff=BackoffPolicy.constant(1.0)
+        )
         grid = testbed.grid
-        health = ReplicaHealthRegistry(
-            grid, failure_threshold=1, quarantine_seconds=40.0
-        )
-        testbed.selection_server.health = health
-        for host_name in ("alpha4", "hit0", "lz02"):
-            health.quarantine("file-a", host_name)
         start = grid.sim.now
-        rft = ReliableFileTransfer(
-            GridFtpClient(grid, "alpha1"),
-            marker_interval_bytes=2 * BLOCK,
-            backoff=BackoffPolicy.constant(1.0),
-        )
         result = run_process(
             grid,
             rft.get_logical("file-a", testbed.selection_server,
@@ -230,3 +231,34 @@ class TestRetryAfterHint:
         assert result.no_replica_waits == 1
         assert grid.sim.now - start >= 40.0
         assert result.verified_bytes == result.payload_bytes
+
+    def test_gives_up_at_the_attempt_cap_with_no_live_replica(self):
+        testbed, rft = self.quarantined_rft(
+            max_attempts=1, backoff=BackoffPolicy.constant(1.0)
+        )
+        with pytest.raises(TooManyAttemptsError) as exc:
+            run_process(
+                testbed.grid,
+                rft.get_logical("file-a", testbed.selection_server),
+            )
+        assert not isinstance(exc.value, RetryBudgetExhaustedError)
+        assert "(no live replica)" in str(exc.value)
+        assert isinstance(exc.value.__cause__, NoLiveReplicaError)
+
+    def test_hint_beyond_the_wait_budget_exhausts_it(self):
+        policy = BackoffPolicy(base=1.0, jitter=0.5, max_total_wait=10.0)
+
+        def no_jitter_draw(*args, **kwargs):
+            pytest.fail("the retry_after hint replaces the backoff delay")
+
+        policy.delay = no_jitter_draw
+        testbed, rft = self.quarantined_rft(backoff=policy)
+        with pytest.raises(RetryBudgetExhaustedError) as exc:
+            run_process(
+                testbed.grid,
+                rft.get_logical("file-a", testbed.selection_server),
+            )
+        assert exc.value.reason == "max-total-wait"
+        assert exc.value.attempts == 1
+        assert exc.value.waited == 0.0
+        assert isinstance(exc.value.__cause__, NoLiveReplicaError)

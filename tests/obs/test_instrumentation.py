@@ -12,8 +12,12 @@ import pytest
 
 from repro.core.baselines import CostModelSelector
 from repro.experiments.harness import register_replicas, run_selection_trace
-from repro.gridftp import GridFtpClient
-from repro.gridftp.coallocation import conservative_coallocation_get
+from repro.gridftp import (
+    GridFtpClient,
+    brute_force_coallocation_get,
+    conservative_coallocation_get,
+    striped_get,
+)
 from repro.testbed import build_testbed
 from repro.units import megabytes
 
@@ -151,32 +155,45 @@ class TestTransferSpansFromTrace:
         assert snapshot["gridftp.transfer_seconds"] == ROUNDS
 
 
+#: Every multi-source get, with the protocol its record and span carry.
+MULTI_SOURCE_GETS = [
+    pytest.param("gridftp-striped", striped_get, {}, id="striped"),
+    pytest.param("gridftp-coalloc-bruteforce", brute_force_coallocation_get,
+                 {}, id="brute-force"),
+    pytest.param("gridftp-coalloc", conservative_coallocation_get,
+                 {"block_bytes": megabytes(8)}, id="conservative"),
+]
+
+
 class TestCoallocatedSpans:
-    def test_per_stream_worker_children(self):
+    @pytest.mark.parametrize("protocol, get, options", MULTI_SOURCE_GETS)
+    def test_root_with_worker_and_phase_children(self, protocol, get, options):
         testbed = build_testbed(seed=5, observe=True)
         grid = testbed.grid
         for host in REPLICA_HOSTS:
             grid.host(host).filesystem.create("big", megabytes(64))
         client = GridFtpClient(grid, CLIENT)
         result = grid.sim.run(until=grid.sim.process(
-            conservative_coallocation_get(
-                client, list(REPLICA_HOSTS), "big",
-                block_bytes=megabytes(8),
-            )
+            get(client, list(REPLICA_HOSTS), "big", **options)
         ))
+        record = getattr(result, "record", result)
+        assert record.protocol == protocol
         tracer = testbed.obs.tracer
-        roots = tracer.finished("gridftp-coalloc.transfer")
+        roots = tracer.finished(f"{protocol}.transfer")
         assert len(roots) == 1
         root = roots[0]
         children = tracer.children_of(root)
         workers = [s for s in children if s.name == "coalloc.worker"]
-        assert len(workers) == len(REPLICA_HOSTS)
-        blocks_by_worker = {
-            w.attributes["server"]: len(tracer.children_of(w))
-            for w in workers
-        }
-        assert blocks_by_worker == result.blocks_by_server
+        assert sorted(w.attributes["server"] for w in workers) == sorted(
+            REPLICA_HOSTS
+        )
+        if protocol == "gridftp-coalloc":
+            blocks_by_worker = {
+                w.attributes["server"]: len(tracer.children_of(w))
+                for w in workers
+            }
+            assert blocks_by_worker == result.blocks_by_server
         phases = [s for s in children if s.name in PHASE_NAMES]
         total = sum(s.duration for s in phases)
         assert total == pytest.approx(root.duration)
-        assert root.duration == pytest.approx(result.record.elapsed)
+        assert root.duration == pytest.approx(record.elapsed)
